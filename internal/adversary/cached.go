@@ -14,7 +14,16 @@ import (
 // output-invariant options (Workers, Tier, TableBudget, Context) do
 // not contribute: only the symmetry mode does, because it changes
 // Runs.
+//
+// A forced tier the spec cannot run is an error here, although the
+// tier never enters the address: every store front (SearchCached, the
+// daemon, the bench harness) fingerprints before it consults its
+// store, so this is what keeps a hit on the same search from masking
+// the forcing error a cold run returns.
 func Fingerprint(spec Spec, space sim.SearchSpace, opts Options) (string, error) {
+	if err := validateForcedTier(spec, opts); err != nil {
+		return "", err
+	}
 	return resultstore.Fingerprint(resultstore.Key{
 		Graph:       spec.Graph,
 		Explorer:    spec.Explorer,
@@ -26,14 +35,10 @@ func Fingerprint(spec Spec, space sim.SearchSpace, opts Options) (string, error)
 
 // validateForcedTier reports the dispatch errors that do not depend on
 // the search space: an unknown forced tier, and TierRing forced on a
-// spec that is not ring-eligible. SearchCached runs it before
-// consulting the store, because the fingerprint deliberately excludes
-// the tier (it is output-invariant for every *valid* configuration) —
-// without this check a cache hit could mask the error a cold search
-// would return. Every other cold-search error either fails Fingerprint
-// too (invalid space, explorer rejecting the graph) or recurs on
-// recompute (per-execution errors are never stored), so no other hit
-// can mask one.
+// spec that is not ring-eligible. Every other cold-search error either
+// fails Fingerprint too (invalid space, explorer rejecting the graph)
+// or recurs on recompute (per-execution errors are never stored), so
+// no store hit can mask one.
 func validateForcedTier(spec Spec, opts Options) error {
 	tier := opts.Tier
 	switch tier {
@@ -48,13 +53,6 @@ func validateForcedTier(spec Spec, opts Options) error {
 		return fmt.Errorf("adversary: unknown tier %v", tier)
 	}
 }
-
-// ValidateTier is validateForcedTier for callers outside the package
-// that front the engine with their own store or checkpoint plumbing
-// (internal/bench): run it before consulting a result store, because
-// the fingerprint excludes the tier and a hit would otherwise mask the
-// error a cold search would return.
-func ValidateTier(spec Spec, opts Options) error { return validateForcedTier(spec, opts) }
 
 // SearchCached is Search fronted by a result store: a fingerprint hit
 // returns the stored WorstCase without touching the engine; a miss
@@ -73,9 +71,6 @@ func SearchCached(store *resultstore.Store, spec Spec, space sim.SearchSpace, op
 	if ferr != nil {
 		wc, err = Search(spec, space, opts)
 		return wc, false, err
-	}
-	if err := validateForcedTier(spec, opts); err != nil {
-		return sim.WorstCase{}, false, err
 	}
 	if wc, ok := store.Get(fp); ok {
 		return wc, true, nil

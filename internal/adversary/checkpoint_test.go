@@ -552,9 +552,9 @@ func TestSearchCached(t *testing.T) {
 	}
 
 	// A forced-but-inapplicable tier must error even when the store is
-	// warm for the same fingerprint (the fingerprint excludes the tier,
-	// so without the up-front check a hit would mask the error a cold
-	// Search returns).
+	// warm for the same fingerprint (the address excludes the tier, so
+	// unless Fingerprint rejects the forcing a hit would mask the error
+	// a cold Search returns).
 	offRing := specFor(graph.Path(5), explore.DFS{}, core.Cheap{}, L)
 	if _, _, err := SearchCached(store, offRing, space, Options{}); err != nil {
 		t.Fatal(err)

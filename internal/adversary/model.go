@@ -11,12 +11,12 @@ import (
 // any implementation of the internal/model contract, and the paper's
 // own model — two agents on a fixed graph, synchronous rounds, a delay
 // adversary — is re-expressed here as PaperModel, the contract's first
-// implementation. Search, NewPlan and SearchCheckpointed are thin
-// wrappers that lower their (Spec, SearchSpace, Options) spelling onto
-// PaperModel and dispatch through the same model-generic path as any
-// foreign model, so the two spellings cannot diverge: bit-for-bit
-// identity is by construction, and pinned by the scenario equivalence
-// matrix in the tests.
+// implementation. Search and SearchCheckpointed are thin wrappers that
+// lower their (Spec, SearchSpace, Options) spelling onto PaperModel and
+// dispatch through the same model-generic path as any foreign model,
+// so the two spellings cannot diverge: bit-for-bit identity is by
+// construction, and pinned by the scenario equivalence matrix in the
+// tests.
 
 // PaperModel is the paper's rendezvous model as a pluggable
 // model.Model: the spec (graph, explorer, algorithm), the
@@ -133,10 +133,13 @@ func SearchModel(m model.Model, opts Options) (sim.WorstCase, error) {
 	return sim.Sharded(opts.simOptions(), plan.labelPairs, plan.sweep, (*sim.WorstCase).Merge)
 }
 
-// NewModelPlan compiles any model and fixes its shard decomposition,
-// with NewPlan's contract: shards <= 0 selects
-// DefaultCheckpointShards, the count is clamped to [1, label pairs],
-// and the decomposition is a pure function of (model, shards).
+// NewModelPlan compiles any model and fixes its shard decomposition.
+// shards <= 0 selects DefaultCheckpointShards; the count is clamped to
+// [1, label pairs] exactly as ModelPlanShards reports. The
+// decomposition is a pure function of (model, shards): every process
+// compiling the same search with the same requested count derives the
+// same boundaries — the determinism contract checkpoint/resume and the
+// cluster dispatcher rely on.
 func NewModelPlan(m model.Model, shards int) (*Plan, error) {
 	p, err := planFromModel(m)
 	if err != nil {
@@ -146,8 +149,9 @@ func NewModelPlan(m model.Model, shards int) (*Plan, error) {
 }
 
 // ModelPlanShards returns the shard count NewModelPlan would fix,
-// without building executor state — the model-generic PlanShards,
-// which coordinators use to agree on a decomposition with workers
+// without building executor state (no trajectory caches, no meeting
+// tables): the requested count clamped to the model's label-pair
+// units. Coordinators use it to agree on a decomposition with workers
 // before dispatching anything.
 func ModelPlanShards(m model.Model, requested int) (int, error) {
 	units, err := m.Units()

@@ -22,36 +22,13 @@ import (
 // Plan is a search lowered onto its fixed shard decomposition: an
 // expanded (symmetry-reduced) enumeration, the tier executor Search
 // would have dispatched to, and a shard count clamped to the label-pair
-// space. A Plan is immutable once built; RunShard is safe for
-// concurrent calls on any shards (including the same shard twice —
-// shard execution is deterministic and side-effect free).
+// space. NewModelPlan builds one. A Plan is immutable once built;
+// RunShard is safe for concurrent calls on any shards (including the
+// same shard twice — shard execution is deterministic and side-effect
+// free).
 type Plan struct {
 	plan   *searchPlan
 	shards int
-}
-
-// NewPlan compiles the search and fixes its shard decomposition.
-// shards <= 0 selects DefaultCheckpointShards; the count is clamped to
-// [1, label pairs] exactly as PlanShards reports. The decomposition is
-// a pure function of (spec, space, opts, shards): every process
-// compiling the same search with the same requested count derives the
-// same boundaries — the determinism contract checkpoint/resume and the
-// cluster dispatcher rely on.
-func NewPlan(spec Spec, space sim.SearchSpace, opts Options, shards int) (*Plan, error) {
-	return NewModelPlan(paperModel(spec, space, opts), shards)
-}
-
-// PlanShards returns the shard count NewPlan would fix for the search
-// without building any executor state (no trajectory caches, no
-// meeting tables): the requested count clamped to the expanded
-// label-pair space. Coordinators use it to agree on a decomposition
-// with workers before dispatching anything.
-func PlanShards(spec Spec, space sim.SearchSpace, requested int) (int, error) {
-	labelPairs, _, _, err := space.Expand(spec.Graph.N())
-	if err != nil {
-		return 0, err
-	}
-	return resolveShardCount(len(labelPairs), requested), nil
 }
 
 // Shards returns the plan's fixed shard count (>= 1; an empty space

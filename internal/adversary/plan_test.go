@@ -35,9 +35,9 @@ func TestPlanMatchesSearch(t *testing.T) {
 				t.Fatalf("%s/%v: Search: %v", name, sym, err)
 			}
 			for _, shards := range []int{1, 3, 7, 1000} {
-				plan, err := NewPlan(spec, space, opts, shards)
+				plan, err := NewModelPlan(PaperModel{Spec: spec, Space: space, Symmetry: sym}, shards)
 				if err != nil {
-					t.Fatalf("%s/%v/%d: NewPlan: %v", name, sym, shards, err)
+					t.Fatalf("%s/%v/%d: NewModelPlan: %v", name, sym, shards, err)
 				}
 				results := make([]sim.WorstCase, plan.Shards())
 				for i := range results {
@@ -56,23 +56,24 @@ func TestPlanMatchesSearch(t *testing.T) {
 }
 
 // TestPlanShardsAgreesWithNewPlan: the cheap shard-count derivation
-// coordinators use matches the count NewPlan fixes, for every
-// requested value — two processes agreeing on (search, requested)
-// always agree on the decomposition.
+// coordinators use (ModelPlanShards) matches the count NewModelPlan
+// fixes, for every requested value — two processes agreeing on
+// (search, requested) always agree on the decomposition.
 func TestPlanShardsAgreesWithNewPlan(t *testing.T) {
 	space := sim.SearchSpace{L: 4, Delays: []int{0}}
 	for name, spec := range planSpecs() {
 		for _, requested := range []int{0, 1, 5, 12, 9999} {
-			want, err := PlanShards(spec, space, requested)
+			m := PaperModel{Spec: spec, Space: space}
+			want, err := ModelPlanShards(m, requested)
 			if err != nil {
-				t.Fatalf("%s/%d: PlanShards: %v", name, requested, err)
+				t.Fatalf("%s/%d: ModelPlanShards: %v", name, requested, err)
 			}
-			plan, err := NewPlan(spec, space, Options{}, requested)
+			plan, err := NewModelPlan(m, requested)
 			if err != nil {
-				t.Fatalf("%s/%d: NewPlan: %v", name, requested, err)
+				t.Fatalf("%s/%d: NewModelPlan: %v", name, requested, err)
 			}
 			if plan.Shards() != want {
-				t.Errorf("%s/%d: PlanShards %d != NewPlan %d", name, requested, want, plan.Shards())
+				t.Errorf("%s/%d: ModelPlanShards %d != NewModelPlan %d", name, requested, want, plan.Shards())
 			}
 			if requested == 0 && want != min(DefaultCheckpointShards, plan.LabelPairs()) {
 				t.Errorf("%s: default shards %d, want min(%d, %d)", name, want, DefaultCheckpointShards, plan.LabelPairs())
@@ -85,7 +86,7 @@ func TestPlanShardsAgreesWithNewPlan(t *testing.T) {
 // silent empty sweeps.
 func TestRunShardBounds(t *testing.T) {
 	spec := planSpecs()["ring"]
-	plan, err := NewPlan(spec, sim.SearchSpace{L: 3}, Options{}, 4)
+	plan, err := NewModelPlan(PaperModel{Spec: spec, Space: sim.SearchSpace{L: 3}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +98,16 @@ func TestRunShardBounds(t *testing.T) {
 }
 
 // TestPlanErrors: an invalid space and a forced-inapplicable tier fail
-// at NewPlan, exactly as they fail at Search.
+// at NewModelPlan, exactly as they fail at Search.
 func TestPlanErrors(t *testing.T) {
 	spec := planSpecs()["grid"]
-	if _, err := NewPlan(spec, sim.SearchSpace{L: 1}, Options{}, 0); err == nil {
+	if _, err := NewModelPlan(PaperModel{Spec: spec, Space: sim.SearchSpace{L: 1}}, 0); err == nil {
 		t.Error("L=1: want error")
 	}
-	if _, err := NewPlan(spec, sim.SearchSpace{L: 3}, Options{Tier: TierRing}, 0); err == nil {
+	if _, err := NewModelPlan(PaperModel{Spec: spec, Space: sim.SearchSpace{L: 3}, Tier: TierRing}, 0); err == nil {
 		t.Error("TierRing on a grid: want error")
 	}
-	if _, err := PlanShards(spec, sim.SearchSpace{L: 1}, 0); err == nil {
-		t.Error("PlanShards L=1: want error")
+	if _, err := ModelPlanShards(PaperModel{Spec: spec, Space: sim.SearchSpace{L: 1}}, 0); err == nil {
+		t.Error("ModelPlanShards L=1: want error")
 	}
 }

@@ -4,20 +4,22 @@
 // tradeoff/separation statements of Section 1.3 — and checks each
 // measurement against the paper's stated bound. EXPERIMENTS.md is
 // generated from this package's output (cmd/rdvbench).
+//
+// The experiments that measure through the adversary engine read their
+// searches from the committed scenario files (examples/scenarios, one
+// E<n>.json per experiment); their code here is only the checks and
+// the rendering.
 package bench
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"rendezvous/internal/adversary"
 	"rendezvous/internal/resultstore"
-	"rendezvous/internal/sim"
 )
 
 // Options configures how the experiment sweeps execute. The zero value
@@ -57,70 +59,6 @@ type Options struct {
 	// cancelled run resumes from completed shards with bit-for-bit
 	// identical merged output.
 	CheckpointDir string
-	// Recorder, when non-nil, observes every engine-backed sweep an
-	// experiment performs, in execution order, with the exact inputs
-	// and the exact result. It is how the scenario equivalence harness
-	// captures an experiment's searches to compare them against the
-	// declarative re-expression; it never changes what runs.
-	Recorder func(spec adversary.Spec, space sim.SearchSpace, wc sim.WorstCase)
-}
-
-// search lowers the experiment options onto the adversary engine.
-func (o Options) search() adversary.Options {
-	return adversary.Options{Workers: o.Workers, Context: o.Context, TableBudget: o.TableBudget, Symmetry: o.Symmetry, Tier: o.Tier}
-}
-
-// searchRun executes one engine-backed sweep under the experiment's
-// persistence options: a store hit short-circuits the engine, a
-// checkpoint directory makes the sweep resumable, and a plain run
-// falls through to adversary.Search. Results are identical on every
-// path.
-func (o Options) searchRun(spec adversary.Spec, space sim.SearchSpace) (wc sim.WorstCase, err error) {
-	if o.Recorder != nil {
-		defer func() {
-			if err == nil {
-				o.Recorder(spec, space, wc)
-			}
-		}()
-	}
-	opts := o.search()
-	if o.CheckpointDir == "" {
-		// SearchCached handles the nil-store case as a plain Search.
-		wc, _, err := adversary.SearchCached(o.Store, spec, space, opts)
-		return wc, err
-	}
-	fp, err := adversary.Fingerprint(spec, space, opts)
-	if err != nil {
-		// Unfingerprintable sweeps (the engine would reject them) run
-		// uncheckpointed so the caller sees the engine's own error.
-		return adversary.Search(spec, space, opts)
-	}
-	// The fingerprint excludes the tier (it is output-invariant), so
-	// this store-front must validate the forced tier itself — exactly
-	// as SearchCached does in the branch above — or a store hit could
-	// mask the forcing error a cold search would return.
-	if err := adversary.ValidateTier(spec, opts); err != nil {
-		return sim.WorstCase{}, err
-	}
-	if o.Store != nil {
-		if wc, ok := o.Store.Get(fp); ok {
-			return wc, nil
-		}
-	}
-	ckpt := filepath.Join(o.CheckpointDir, fp+".ckpt")
-	wc, err = adversary.SearchCheckpointed(spec, space, opts,
-		adversary.CheckpointConfig{Path: ckpt, Fingerprint: fp})
-	if err != nil {
-		return sim.WorstCase{}, err
-	}
-	if o.Store != nil {
-		_ = o.Store.Put(fp, wc) // best-effort: a miss next time recomputes
-	}
-	// The checkpoint is crash recovery, not a cache (that is the
-	// store's job): once the sweep completed, drop it so the resume
-	// directory does not accumulate one stale file per configuration.
-	os.Remove(ckpt)
-	return wc, nil
 }
 
 // err reports the context's cancellation, for experiments whose sweeps

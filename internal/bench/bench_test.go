@@ -2,18 +2,34 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"io/fs"
+	"os"
 	"strings"
 	"testing"
+
+	"rendezvous/examples/scenarios"
+	"rendezvous/internal/scenario"
 )
 
 // TestAllExperimentsPass is the repository's headline integration test:
-// every experiment table regenerates and every paper-bound check passes.
+// every experiment table regenerates, every paper-bound check passes,
+// and the tables, rendered as markdown in registry order, are
+// EXPERIMENTS.md's body (everything after "## Tables") byte for byte —
+// so the committed record cannot drift from what the code measures.
 func TestAllExperimentsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweeps are not short")
 	}
-	for _, exp := range Registry() {
-		exp := exp
+	reg := Registry()
+	tables := make([]*Table, len(reg))
+	// Cleanup runs once every parallel subtest has finished.
+	t.Cleanup(func() {
+		if err := matchExperimentsDoc(tables); err != nil {
+			t.Error(err)
+		}
+	})
+	for i, exp := range reg {
 		t.Run(exp.ID, func(t *testing.T) {
 			t.Parallel()
 			table, err := exp.Run(Options{Workers: 2})
@@ -34,7 +50,80 @@ func TestAllExperimentsPass(t *testing.T) {
 					t.Errorf("%s: row %v has %d cells, want %d", exp.ID, row, len(row), len(table.Columns))
 				}
 			}
+			tables[i] = table
 		})
+	}
+}
+
+// matchExperimentsDoc compares the tables' markdown, in order, with
+// the body of EXPERIMENTS.md after "## Tables", reporting the first
+// differing line. A nil table (an experiment that failed or was not
+// selected) skips the comparison.
+func matchExperimentsDoc(tables []*Table) error {
+	var body bytes.Buffer
+	for _, table := range tables {
+		if table == nil {
+			return nil
+		}
+		if err := table.Markdown(&body); err != nil {
+			return err
+		}
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		return err
+	}
+	_, want, ok := strings.Cut(string(doc), "\n## Tables\n\n")
+	if !ok {
+		return fmt.Errorf("EXPERIMENTS.md has no \"## Tables\" section")
+	}
+	got := strings.Split(body.String(), "\n")
+	committed := strings.Split(want, "\n")
+	for i := 0; i < max(len(got), len(committed)); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(committed) {
+			w = committed[i]
+		}
+		if g != w {
+			return fmt.Errorf("EXPERIMENTS.md is stale at body line %d (regenerate it with the command the file documents)\nregenerated: %q\ncommitted:   %q", i+1, g, w)
+		}
+	}
+	return nil
+}
+
+// TestCommittedScenarioFilesParse pins that every committed scenario
+// file parses, names a real experiment, and compiles end to end: one
+// file per experiment, the engine-backed experiments' only spelling of
+// their searches.
+func TestCommittedScenarioFilesParse(t *testing.T) {
+	matches, err := fs.Glob(scenarios.FS, "E*.json")
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no embedded scenario files (err %v)", err)
+	}
+	if len(matches) != len(Registry()) {
+		t.Fatalf("found %d scenario files, want one per experiment (%d)", len(matches), len(Registry()))
+	}
+	for _, name := range matches {
+		data, err := scenarios.FS.ReadFile(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f, err := scenario.ParseFile(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f.Experiment+".json" != name {
+			t.Fatalf("%s: bound to experiment %q", name, f.Experiment)
+		}
+		if _, err := ByID(f.Experiment); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := f.CompileAll(scenario.Options{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -106,52 +195,6 @@ func TestTableMarkdown(t *testing.T) {
 	}
 }
 
-func TestSampledLabelPairsProperties(t *testing.T) {
-	for _, L := range []int{4, 16, 100} {
-		pairs := sampledLabelPairs(L, 30, 1)
-		seen := make(map[[2]int]bool)
-		for _, p := range pairs {
-			if p[0] == p[1] || p[0] < 1 || p[1] < 1 || p[0] > L || p[1] > L {
-				t.Fatalf("L=%d: bad pair %v", L, p)
-			}
-			if seen[p] {
-				t.Fatalf("L=%d: duplicate pair %v", L, p)
-			}
-			seen[p] = true
-		}
-		if !seen[[2]int{1, 2}] || !seen[[2]int{L - 1, L}] {
-			t.Errorf("L=%d: adversarial pairs missing", L)
-		}
-	}
-	// Deterministic for a fixed seed.
-	a := sampledLabelPairs(64, 40, 9)
-	b := sampledLabelPairs(64, 40, 9)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("sampledLabelPairs not deterministic")
-		}
-	}
-}
-
-func TestRingOffsets(t *testing.T) {
-	offs := ringOffsets(5)
-	if len(offs) != 4 {
-		t.Fatalf("ringOffsets(5) = %v", offs)
-	}
-	for i, p := range offs {
-		if p[0] != 0 || p[1] != i+1 {
-			t.Fatalf("ringOffsets(5) = %v", offs)
-		}
-	}
-}
-
-func TestAllLabelPairs(t *testing.T) {
-	pairs := allLabelPairs(3)
-	if len(pairs) != 6 {
-		t.Fatalf("allLabelPairs(3) = %v", pairs)
-	}
-}
-
 func TestFitExponent(t *testing.T) {
 	// y = x^2 exactly.
 	xs := []float64{2, 4, 8, 16}
@@ -162,18 +205,5 @@ func TestFitExponent(t *testing.T) {
 	// Degenerate input.
 	if got := fitExponent([]float64{1}, []float64{1}); got == got { // NaN check
 		t.Errorf("fitExponent of one point = %v, want NaN", got)
-	}
-}
-
-func TestDelaysFor(t *testing.T) {
-	d := delaysFor(10)
-	want := []int{0, 1, 5, 10, 11, 20}
-	if len(d) != len(want) {
-		t.Fatalf("delaysFor(10) = %v", d)
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("delaysFor(10) = %v, want %v", d, want)
-		}
 	}
 }

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
-	"rendezvous/internal/adversary"
 	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
-	"rendezvous/internal/sim"
 )
 
 // E14TradeoffCurveFine addresses the paper's stated open problem
@@ -20,19 +16,23 @@ import (
 // at L = 4096 — feasible only with the segment-level ring executor,
 // which runs in O(|schedule|) per execution instead of O(|schedule|·E).
 //
-// The sweeps go through the engine (searchRun), whose automatic tier
-// dispatch routes every execution on the canonical oriented ring with
-// the sweep explorer to exactly that segment-level executor — so the
-// experiment inherits the store, checkpointing and recording like every
-// other engine-backed sweep.
+// The sweeps go through the engine, whose automatic tier dispatch
+// routes every execution on the canonical oriented ring with the sweep
+// explorer to exactly that segment-level executor — so the experiment
+// inherits the store and checkpointing like every other engine-backed
+// sweep.
 //
 // The paper asks whether FastWithRelabeling is on or near the optimal
 // curve; the measured frontier is convex-ish and strictly tradeoff-
 // shaped (time falls as cost rises), consistent with it being near-
 // optimal between the two proven-tight endpoints.
 func E14TradeoffCurveFine(opts Options) (*Table, error) {
-	const n, L = 24, 4096
-	e := n - 1
+	sweeps, err := opts.sweeps("E14", nil)
+	if err != nil {
+		return nil, err
+	}
+	// Every search runs on the same ring with the same L.
+	n, e, L := sweeps[0].n(), sweeps[0].e(), sweeps[0].l()
 	t := &Table{
 		ID:      "E14",
 		Title:   fmt.Sprintf("Fine-grained tradeoff curve (open problem), oriented ring n=%d, L=%d", n, L),
@@ -44,55 +44,31 @@ func E14TradeoffCurveFine(opts Options) (*Table, error) {
 		},
 	}
 	logL := bits.Len(uint(L - 1)) // ⌈log2 L⌉ = 12
-	g := graph.OrientedRing(n)
-	pairs := sampledLabelPairs(L, 160, 2024)
-	delays := []int{0, 1, e}
-	params := core.Params{L: L}
-	search := func(algo core.Algorithm) (sim.WorstCase, error) {
-		return opts.searchRun(adversary.Spec{
-			Graph:       g,
-			Explorer:    explore.OrientedRingSweep{},
-			ScheduleFor: func(l int) sim.Schedule { return algo.Schedule(l, params) },
-		}, sim.SearchSpace{
-			LabelPairs: pairs,
-			StartPairs: ringOffsets(n),
-			Delays:     delays,
-		})
-	}
 
 	type point struct {
 		w, cost, time int
 	}
 	var curve []point
-	for w := 1; w <= logL+2; w++ {
-		algo := core.NewFastWithRelabeling(w)
-		if w == 1 {
-			// t(L,1) = L: the schedule has 2L+1 segments. Fine for
-			// the ring tier, but limit the pair count to keep the table
-			// quick.
-			algo = core.NewFastWithRelabeling(1)
+	for _, s := range sweeps {
+		w, ok := s.weight()
+		if !ok {
+			continue // Fast, the reference row below
 		}
-		wc, err := search(algo)
-		if err != nil {
-			return nil, err
-		}
-		if !wc.AllMet {
-			return nil, fmt.Errorf("bench: E14: w=%d: executions failed to meet", w)
-		}
-		tLen := algo.T(L)
+		wc := s.wc
 		curve = append(curve, point{w, wc.Cost.Value, wc.Time.Value})
-		t.AddRow(w, tLen, wc.Cost.Value, float64(wc.Cost.Value)/float64(e), wc.Time.Value, float64(wc.Time.Value)/float64(e),
+		t.AddRow(w, core.NewFastWithRelabeling(w).T(L), wc.Cost.Value, float64(wc.Cost.Value)/float64(e), wc.Time.Value, float64(wc.Time.Value)/float64(e),
 			core.RelabelingTimeBound(e, L, w))
+	}
+	if len(curve) < logL {
+		return nil, fmt.Errorf("bench: E14: %d relabeling weights, want w = 1..%d at least", len(curve), logL)
 	}
 
 	// Fast itself for reference (the far end of the curve).
-	fastWC, err := search(core.Fast{})
+	fast, err := pick(sweeps, "fast")
 	if err != nil {
 		return nil, err
 	}
-	if !fastWC.AllMet {
-		return nil, fmt.Errorf("bench: E14: fast: executions failed to meet")
-	}
+	fastWC := fast[0].wc
 	t.AddRow("fast", "-", fastWC.Cost.Value, float64(fastWC.Cost.Value)/float64(e), fastWC.Time.Value, float64(fastWC.Time.Value)/float64(e), core.FastTimeBound(e, L))
 
 	// Shape checks: the frontier is a genuine tradeoff — time decreases

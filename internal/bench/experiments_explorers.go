@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"math/rand"
+	"fmt"
 
 	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
 )
 
 // E15ExplorerSensitivity measures how the choice of EXPLORE — and hence
@@ -29,37 +27,21 @@ func E15ExplorerSensitivity(opts Options) (*Table, error) {
 			"sweep sizes (n up to 20, unmarked-map E up to 1520) rely on the engine's meeting-table tier; the generic executor pays O(|schedule|·E) per execution and previously capped this table at n ≈ 12",
 		},
 	}
-	const L = 8
-	rng := rand.New(rand.NewSource(77))
-	type cfg struct {
-		name string
-		g    *graph.Graph
-		exs  []explore.Explorer
+	// Row labels, one per graph of E15.json in order of appearance.
+	names := []string{"oriented-ring-16", "tree-14", "torus-4x4", "grid-4x5"}
+	sweeps, err := opts.sweeps("E15", nil)
+	if err != nil {
+		return nil, err
 	}
-	cfgs := []cfg{
-		{"oriented-ring-16", graph.OrientedRing(16), []explore.Explorer{
-			explore.OrientedRingSweep{}, explore.DFS{}, explore.RotorRouter{}, explore.UnmarkedDFS{},
-		}},
-		{"tree-14", graph.RandomTree(14, rng), []explore.Explorer{
-			explore.DFS{}, explore.RotorRouter{}, explore.UnmarkedDFS{},
-		}},
-		{"torus-4x4", graph.Torus(4, 4), []explore.Explorer{
-			explore.Eulerian{}, explore.DFS{}, explore.RotorRouter{}, explore.UnmarkedDFS{},
-		}},
-		{"grid-4x5", graph.Grid(4, 5), []explore.Explorer{
-			explore.DFS{}, explore.UnmarkedDFS{},
-		}},
+	graphs := groups(sweeps, func(s sweep) string { return fmt.Sprint(s.doc.Graph) })
+	if len(graphs) != len(names) {
+		return nil, fmt.Errorf("bench: E15: %d graphs for %d row labels", len(graphs), len(names))
 	}
 	allBounded := true
 	ratiosTight := true
-	for _, c := range cfgs {
-		for _, ex := range c.exs {
-			e := ex.Duration(c.g)
-			delays := []int{0, 1, e}
-			wc, err := graphWorst(opts, c.g, ex, L, core.Fast{}, allLabelPairs(L), delays)
-			if err != nil {
-				return nil, err
-			}
+	for i, group := range graphs {
+		for _, s := range group {
+			e, L, wc := s.e(), s.l(), s.wc
 			bound := core.FastTimeBound(e, L)
 			if wc.Time.Value > bound {
 				allBounded = false
@@ -69,7 +51,7 @@ func E15ExplorerSensitivity(opts Options) (*Table, error) {
 			if timePerE > boundPerE {
 				ratiosTight = false
 			}
-			t.AddRow(c.name, ex.Name(), e, wc.Time.Value, timePerE, wc.Cost.Value,
+			t.AddRow(names[i], s.m.Spec.Explorer.Name(), e, wc.Time.Value, timePerE, wc.Cost.Value,
 				float64(wc.Cost.Value)/float64(e), boundPerE)
 		}
 	}

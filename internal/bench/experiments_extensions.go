@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"rendezvous/internal/adversary"
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
+	"rendezvous/internal/scenario"
 	"rendezvous/internal/sim"
 )
 
@@ -40,7 +40,7 @@ func E12AlternativeAccounting(opts Options) (*Table, error) {
 				return entry.algo.Schedule(l, params)
 			})
 			worstTime, worstLater, worstCost, worstCostLater := 0, 0, 0, 0
-			for _, lp := range allLabelPairs(L) {
+			for _, lp := range scenario.AllLabelPairs(L) {
 				for d := 1; d < n; d++ {
 					trajA, err := tc.Get(lp[0], 0)
 					if err != nil {
@@ -89,8 +89,6 @@ func E12AlternativeAccounting(opts Options) (*Table, error) {
 //     (a full exploration inside the other agent's idle window, for any
 //     EXPLORE on any graph) and costs about 2x in both time and cost.
 func E13Ablations(opts Options) (*Table, error) {
-	const n, L = 24, 6
-	e := n - 1
 	t := &Table{
 		ID:      "E13",
 		Title:   "Ablations: Cheap's leading exploration, Fast's bit doubling",
@@ -101,47 +99,24 @@ func E13Ablations(opts Options) (*Table, error) {
 			"fast-undoubled survives exhaustive ring adversaries; the doubling is required by the proof's any-graph any-EXPLORE argument and costs ~2x",
 		},
 	}
-	g := graph.OrientedRing(n)
-	params := core.Params{L: L}
-
-	search := func(algo core.Algorithm, delays []int) (sim.WorstCase, error) {
-		return opts.searchRun(adversary.Spec{
-			Graph:       g,
-			Explorer:    explore.OrientedRingSweep{},
-			ScheduleFor: func(l int) sim.Schedule { return algo.Schedule(l, params) },
-		}, sim.SearchSpace{L: L, StartPairs: ringOffsets(n), Delays: delays})
-	}
-
-	allDelays := make([]int, 0, e+1)
-	for d := 0; d <= e; d++ {
-		allDelays = append(allDelays, d)
-	}
-
-	undoubled, err := search(core.FastUndoubled{}, allDelays)
+	// Every variant's meeting (or not) is the measurement here.
+	sweeps, err := opts.sweeps("E13", func(scenario.Search) bool { return true })
 	if err != nil {
 		return nil, err
 	}
+	// The fast pair sweeps every delay 0..E; the cheap pair the doubled
+	// delays {0, 2E, 4E}, where τ = 2E aligns the lone explorations of
+	// labels ℓ, ℓ+2.
+	row, err := pick(sweeps, "fast-undoubled", "fast", "cheap-lazy", "cheap")
+	if err != nil {
+		return nil, err
+	}
+	undoubled, fastFull, lazy, cheap := row[0].wc, row[1].wc, row[2].wc, row[3].wc
 	t.AddRow("fast-undoubled", "0..E", undoubled.AllMet, undoubled.Time.Value, undoubled.Cost.Value)
-
-	fastFull, err := search(core.Fast{}, allDelays)
-	if err != nil {
-		return nil, err
-	}
 	t.AddRow("fast (control)", "0..E", fastFull.AllMet, fastFull.Time.Value, fastFull.Cost.Value)
-
-	// CheapLazy: τ = 2E aligns the lone explorations of labels ℓ, ℓ+2.
-	bound := core.CheapWorstTimeBound(e, L)
-	lazy, err := search(core.CheapLazy{}, []int{0, 2 * e, 4 * e})
-	if err != nil {
-		return nil, err
-	}
 	t.AddRow("cheap-lazy", "{0,2E,4E}", lazy.AllMet, lazy.Time.Value, lazy.Cost.Value)
-
-	cheap, err := search(core.Cheap{}, []int{0, 2 * e, 4 * e})
-	if err != nil {
-		return nil, err
-	}
 	t.AddRow("cheap (control)", "{0,2E,4E}", cheap.AllMet, cheap.Time.Value, cheap.Cost.Value)
+	bound := core.CheapWorstTimeBound(row[3].e(), row[3].l())
 
 	t.AddCheck("undoubled Fast survives ring adversaries", undoubled.AllMet,
 		"all offsets x delays 0..E met; worst time %d vs control %d", undoubled.Time.Value, fastFull.Time.Value)

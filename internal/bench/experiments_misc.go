@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"sort"
 
-	"rendezvous/internal/adversary"
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
+	"rendezvous/internal/scenario"
 	"rendezvous/internal/sim"
 	"rendezvous/internal/uxs"
 )
@@ -156,8 +156,14 @@ func E9UnknownE(opts Options) (*Table, error) {
 // anchors the cheap-but-slow end, Fast the fast-but-costly end, and the
 // FastWithRelabeling family interpolates.
 func E10TradeoffCurve(opts Options) (*Table, error) {
-	const n, L = 24, 64
-	e := n - 1
+	// The oracle reference point is a baseline outside the model; its
+	// executions are not required to meet.
+	sweeps, err := opts.sweeps("E10", func(s scenario.Search) bool { return s.Algorithm == "oracle" })
+	if err != nil {
+		return nil, err
+	}
+	// Every search runs on the same ring with the same L.
+	n, e, L := sweeps[0].n(), sweeps[0].e(), sweeps[0].l()
 	t := &Table{
 		ID:      "E10",
 		Title:   fmt.Sprintf("Time-versus-cost tradeoff frontier (oriented ring n=%d, L=%d)", n, L),
@@ -173,44 +179,8 @@ func E10TradeoffCurve(opts Options) (*Table, error) {
 		cost, time int
 	}
 	var points []point
-
-	oracleWC, err := opts.searchRun(adversary.Spec{
-		Graph:       graph.OrientedRing(n),
-		Explorer:    explore.OrientedRingSweep{},
-		ScheduleFor: func(l int) sim.Schedule { return core.WaitForMate{}.Schedule(l, core.Params{L: L}) },
-	}, sim.SearchSpace{
-		LabelPairs: [][2]int{{1, 2}, {2, 1}},
-		StartPairs: ringOffsets(n),
-	})
-	if err != nil {
-		return nil, err
-	}
-	points = append(points, point{"oracle-wait-for-mate", oracleWC.Cost.Value, oracleWC.Time.Value})
-
-	pairs := sampledLabelPairs(L, 100, 42)
-	algos := []core.Algorithm{
-		core.CheapSimultaneous{},
-		core.Cheap{},
-		core.NewFastWithRelabeling(1),
-		core.NewFastWithRelabeling(2),
-		core.NewFastWithRelabeling(3),
-		core.NewFastWithRelabeling(4),
-		core.Fast{},
-	}
-	names := []string{
-		"cheap-simultaneous", "cheap",
-		"fwr(w=1)", "fwr(w=2)", "fwr(w=3)", "fwr(w=4)", "fast",
-	}
-	for i, algo := range algos {
-		delays := []int{0}
-		if algo.Name() != "cheap-simultaneous" {
-			delays = []int{0, 1, e}
-		}
-		wc, err := ringWorst(opts, n, L, algo, pairs, delays)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, point{names[i], wc.Cost.Value, wc.Time.Value})
+	for _, s := range sweeps {
+		points = append(points, point{s.name(), s.wc.Cost.Value, s.wc.Time.Value})
 	}
 	sort.Slice(points, func(i, j int) bool {
 		if points[i].cost != points[j].cost {
@@ -241,37 +211,26 @@ func E10TradeoffCurve(opts Options) (*Table, error) {
 // Ω(EL) time that Theorem 3.1 imposes on every cost-(E+o(E)) algorithm:
 // cost Θ(E) is strictly weaker than cost E+o(E).
 func E11Separation(opts Options) (*Table, error) {
-	const n = 12
-	e := n - 1
 	t := &Table{
 		ID:      "E11",
 		Title:   "Separation: cost Θ(E) rendezvous in time o(EL) (Section 1.3)",
 		Claim:   "FastWithRelabeling(2) works at cost O(E) and in time O(L^{1/2}E), so the Ω(EL) time bound for cost E+o(E) does not extend to cost Θ(E)",
 		Columns: []string{"L", "cheap-sim time/E", "fwr(2) time/E", "time ratio", "fwr(2) cost/E", "fast cost/E"},
 	}
+	sweeps, err := opts.sweeps("E11", nil)
+	if err != nil {
+		return nil, err
+	}
 	sepOK, costOK := true, true
 	var ratios []float64
-	for _, L := range []int{16, 64, 256, 1024} {
-		pairs := sampledLabelPairs(L, 60, int64(3*L))
-		cheapPairs := pairs
-		if L > 64 {
-			// CheapSimultaneous schedules are Θ(L) segments long; cap the
-			// pair count to keep the sweep tractable.
-			cheapPairs = sampledLabelPairs(L, 24, int64(3*L))
-		}
-		cheapWC, err := ringWorst(opts, n, L, core.CheapSimultaneous{}, cheapPairs, []int{0})
+	// One row per L: cheap-sim, fwr(2) and fast.
+	for _, group := range groups(sweeps, sweep.l) {
+		row, err := pick(group, "cheap-sim", "fwr(2)", "fast")
 		if err != nil {
 			return nil, err
 		}
-		fwr := core.NewFastWithRelabeling(2)
-		fwrWC, err := ringWorst(opts, n, L, fwr, pairs, []int{0})
-		if err != nil {
-			return nil, err
-		}
-		fastWC, err := ringWorst(opts, n, L, core.Fast{}, pairs, []int{0})
-		if err != nil {
-			return nil, err
-		}
+		cheapWC, fwrWC, fastWC := row[0].wc, row[1].wc, row[2].wc
+		e, L := group[0].e(), group[0].l()
 		ratio := float64(cheapWC.Time.Value) / float64(fwrWC.Time.Value)
 		ratios = append(ratios, ratio)
 		if fwrWC.Cost.Value > core.RelabelingCostSafe(e, 2) {

@@ -12,10 +12,9 @@ import (
 	"rendezvous/internal/sim"
 )
 
-// The canonical configuration-space generators. These are the
-// generators the benchmark experiments have always used (internal/bench
-// delegates here), exported so scenario files, experiments and tests
-// share one definition of each space.
+// The canonical configuration-space generators, exported so scenario
+// documents and the code that reads them share one definition of each
+// space.
 
 // AllLabelPairs returns all ordered pairs of distinct labels in {1..L},
 // in the engine's canonical order (the same order sim.SearchSpace

@@ -3,17 +3,17 @@
 // parameters, validated against the same caps the daemon serves under,
 // and compiled onto the internal/model contract. One scenario document
 // denotes exactly one search; a scenario file bundles the searches of
-// one experiment. Every front end that accepts scenarios — the rdvd
-// daemon's "scenario" body form, rdvbench -scenario — parses and
-// compiles through this package, so the accepted surface cannot drift
-// between them.
+// one experiment. Every front end parses and compiles its searches
+// through this package — the rdvd daemon (both /search body forms:
+// the inline fields lower onto a Search), rdvbench -scenario, and the
+// bench experiments, which read their committed files — so the
+// accepted surface cannot drift between them.
 //
 // The format is deliberately generator-friendly: a document can spell
 // its configuration space either explicitly (labelPairs, startPairs,
-// delays) or through the same canonical generators the benchmark
-// experiments use (exhaustive label pairs from l, seeded adversarial
-// samples, ring offsets, delay patterns derived from the exploration
-// time E). Two spellings that expand to the same space compile to
+// delays) or through canonical generators (exhaustive label pairs from
+// l, seeded adversarial samples, ring offsets, delay patterns derived
+// from the exploration time E). Two spellings that expand to the same space compile to
 // models with identical fingerprints: equivalence is semantic, pinned
 // by the engine's content addressing, not textual.
 package scenario
@@ -165,8 +165,7 @@ type Search struct {
 
 // File bundles the searches of one experiment: a versioned, named list
 // of Search documents, optionally bound to the internal/bench
-// experiment it mirrors (Experiment) so the equivalence harness can
-// verify the two bit for bit.
+// experiment that runs them (Experiment).
 type File struct {
 	// Version is the format version (== 1). Required.
 	Version int `json:"version"`
@@ -174,8 +173,8 @@ type File struct {
 	Name  string   `json:"name,omitempty"`
 	Notes []string `json:"notes,omitempty"`
 	// Experiment names the internal/bench experiment (e.g. "E3") whose
-	// engine searches this file re-expresses, in order. Empty for
-	// standalone files.
+	// engine searches this file holds, in order: the experiment reads
+	// them from the committed file. Empty for standalone files.
 	Experiment string `json:"experiment,omitempty"`
 	// Searches are the file's searches, in canonical order.
 	Searches []Search `json:"searches"`

@@ -123,6 +123,32 @@ func TestScenarioFormRejections(t *testing.T) {
 	}
 }
 
+// TestForcedTierNotMaskedByCache: the fingerprint leaves the tier out
+// (it never changes results), so a store entry written by the same
+// search without a forced tier must not answer a request that forces
+// a tier the search cannot run. The request is a 400 cold and a 400
+// once the unforced search is stored — never a cached 200.
+func TestForcedTierNotMaskedByCache(t *testing.T) {
+	_, ts := newTestServer(t)
+	const search = `"version":1,"graph":{"family":"grid","rows":3,"cols":3},"algorithm":"cheap","l":3,"delays":[0,1]`
+	forced := `{"scenario":{` + search + `,"tier":"ring"}}`
+	check := func(when string) {
+		t.Helper()
+		status, out := postSearch(t, ts.URL, forced)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (cached %v), want 400", when, status, out.Cached)
+		}
+		if !strings.Contains(out.Error, "TierRing") {
+			t.Errorf("%s: error %q does not name the forced tier", when, out.Error)
+		}
+	}
+	check("cold")
+	if status, out := postSearch(t, ts.URL, `{"scenario":{`+search+`}}`); status != http.StatusOK {
+		t.Fatalf("unforced search: status %d (%s)", status, out.Error)
+	}
+	check("with the unforced search stored")
+}
+
 // TestScenarioDistributed fans a dynamic-model scenario out across two
 // workers: the scenario document rides opaquely inside the shard
 // protocol, each worker re-validates and recompiles it, and the merged

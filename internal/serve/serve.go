@@ -5,9 +5,11 @@
 // The request path is ordered so that repeated traffic is as cheap as
 // possible:
 //
-//  1. Parse and validate the request; compile it to an engine spec.
-//     Every malformed request dies here with a 400 — nothing below
-//     this line can panic the daemon.
+//  1. Parse the request into the scenario.Search it spells (the
+//     "scenario" body form as-is, the inline fields lowered onto
+//     one), then validate and compile it through internal/scenario —
+//     one validator for both spellings. Every malformed request dies
+//     here with a 400 — nothing below this line can panic the daemon.
 //  2. Fingerprint the compiled search (resultstore canonicalization:
 //     equivalent request spellings collide) and look it up in the
 //     store. A hit is answered immediately without touching the
@@ -64,9 +66,6 @@ import (
 	"rendezvous/internal/adversary"
 	"rendezvous/internal/auth"
 	"rendezvous/internal/cluster"
-	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
 	"rendezvous/internal/metrics"
 	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
@@ -88,8 +87,8 @@ const (
 	MaxNodes = scenario.MaxNodes
 	// MaxL caps the served label-space size. Deliberately stricter than
 	// the format-level scenario.MaxL (which admits offline benchmark
-	// sweeps): the daemon enforces this cap on scenario-form requests
-	// too, on the scenario's resolved L.
+	// sweeps): the daemon enforces it on both request forms, on the
+	// search's resolved L.
 	MaxL = 512
 	// MaxDelay caps each wake delay. An unbounded delay would drive the
 	// generic executor's meeting scan to a horizon of wakeB + |schedule|
@@ -105,9 +104,10 @@ const (
 	MaxBodyBytes = 8 << 20
 )
 
-// GraphSpec names a graph family and its parameters. Only
-// deterministic families are served (no seeded random generators), so
-// a spec denotes exactly one graph. Sizes are capped at MaxNodes.
+// GraphSpec names a graph family and its parameters: the inline
+// spelling of scenario.GraphSpec's deterministic families (ring, path,
+// star, complete, circulant, grid, torus, hypercube), which it lowers
+// onto. Sizes are capped at MaxNodes.
 type GraphSpec struct {
 	// Family is one of ring, path, star, complete, circulant, grid,
 	// torus, hypercube.
@@ -119,84 +119,11 @@ type GraphSpec struct {
 	Cols int `json:"cols,omitempty"`
 }
 
-// nodes returns the node count the spec denotes, for the size cap.
-// Each dimension is bounds-checked before any multiplication so a
-// crafted huge Rows/Cols pair cannot overflow past the cap.
-func (gs GraphSpec) nodes() int {
-	switch gs.Family {
-	case "grid", "torus":
-		if gs.Rows < 0 || gs.Rows > MaxNodes || gs.Cols < 0 || gs.Cols > MaxNodes {
-			return MaxNodes + 1
-		}
-		return gs.Rows * gs.Cols
-	case "hypercube":
-		if gs.N < 1 || gs.N > 20 {
-			return -1
-		}
-		return 1 << gs.N
-	default:
-		return gs.N
-	}
-}
-
-// Build validates the spec and constructs the graph. It never panics:
-// every parameter the generators would reject is caught here first.
-func (gs GraphSpec) Build() (*graph.Graph, error) {
-	if n := gs.nodes(); n > MaxNodes {
-		return nil, fmt.Errorf("serve: graph %s: size exceeds the served maximum of %d nodes", gs.Family, MaxNodes)
-	}
-	switch gs.Family {
-	case "ring":
-		if gs.N < 3 {
-			return nil, fmt.Errorf("serve: graph ring: need n >= 3 (got %d)", gs.N)
-		}
-		return graph.OrientedRing(gs.N), nil
-	case "path":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph path: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.Path(gs.N), nil
-	case "star":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph star: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.Star(gs.N), nil
-	case "complete":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph complete: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.Complete(gs.N), nil
-	case "circulant":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph circulant: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.CirculantComplete(gs.N), nil
-	case "grid":
-		if gs.Rows < 1 || gs.Cols < 1 || gs.Rows*gs.Cols < 2 {
-			return nil, fmt.Errorf("serve: graph grid: need rows,cols >= 1 and >= 2 nodes (got %dx%d)", gs.Rows, gs.Cols)
-		}
-		return graph.Grid(gs.Rows, gs.Cols), nil
-	case "torus":
-		if gs.Rows < 3 || gs.Cols < 3 {
-			return nil, fmt.Errorf("serve: graph torus: need rows,cols >= 3 (got %dx%d)", gs.Rows, gs.Cols)
-		}
-		return graph.Torus(gs.Rows, gs.Cols), nil
-	case "hypercube":
-		if gs.N < 1 || gs.N > 20 {
-			return nil, fmt.Errorf("serve: graph hypercube: need 1 <= n <= 20 (got %d)", gs.N)
-		}
-		return graph.Hypercube(gs.N), nil
-	case "":
-		return nil, fmt.Errorf("serve: graph family is required")
-	default:
-		return nil, fmt.Errorf("serve: unknown graph family %q", gs.Family)
-	}
-}
-
 // Request is the body of POST /search. A search is spelled one of
-// two ways: the inline fields below (the paper model only), or a
-// complete declarative scenario document in Scenario (any registered
-// model). The two spellings are mutually exclusive; the transport
+// two ways: the inline fields below (the paper model only; shorthand
+// for the scenario document they lower onto), or a complete
+// declarative scenario document in Scenario (any registered model).
+// The two spellings are mutually exclusive; the transport
 // options (workers, stream, timings) belong to the envelope and apply
 // to both.
 type Request struct {
@@ -237,131 +164,66 @@ type Request struct {
 	Timings bool `json:"timings,omitempty"`
 }
 
-// compile validates the request and lowers it onto a model.Model —
-// adversary.PaperModel for the inline form, whatever the scenario
-// compiler yields for the scenario form. defaultWorkers is the
-// server-wide per-search worker count used when the request does not
-// override it; it lands in the returned execution options alongside
-// nothing else (tier, symmetry and budgets are the model's own
-// state).
+// compile validates the request and lowers it onto a model.Model.
+// Both spellings go through one validator: the scenario form is
+// parsed as the standalone document it is, the inline form is lowered
+// onto the scenario.Search it denotes, and either is then held to the
+// daemon's label-space cap and compiled by scenario.Search.Compile —
+// so the two spellings of one search share one fingerprint and one
+// cache entry. defaultWorkers is the server-wide per-search worker
+// count used when the request does not override it; it lands in the
+// returned execution options alongside nothing else (tier, symmetry
+// and budgets are the model's own state).
 func (r Request) compile(defaultWorkers int) (model.Model, adversary.Options, error) {
-	var opts adversary.Options
-	workers := r.Workers
-	if workers == 0 {
-		workers = defaultWorkers
+	opts := adversary.Options{Workers: r.Workers}
+	if opts.Workers == 0 {
+		opts.Workers = defaultWorkers
 	}
-	opts.Workers = workers
-	if r.Scenario != nil {
-		// The scenario form: the document is a complete search of its
-		// own; the inline fields must all be absent, so a request can
-		// never half-override what the document pins.
-		if r.Graph != (GraphSpec{}) || r.Explorer != "" || r.Algorithm != "" || r.L != 0 ||
-			r.LabelPairs != nil || r.StartPairs != nil || r.Delays != nil || r.Symmetry != "" {
-			return nil, opts, fmt.Errorf("serve: scenario and inline search fields are mutually exclusive")
-		}
-		sc, err := scenario.ParseSearch(r.Scenario)
-		if err != nil {
-			return nil, opts, err
-		}
-		// The format admits benchmark-scale label spaces; the daemon
-		// does not (scenario.MaxL > serve.MaxL).
-		if l := sc.EffectiveL(); l > MaxL {
-			return nil, opts, fmt.Errorf("serve: scenario l %d exceeds the served maximum %d", l, MaxL)
-		}
-		m, err := sc.Compile(scenario.Options{})
-		if err != nil {
-			return nil, opts, err
-		}
-		return m, opts, nil
-	}
-	// JSON [] decodes to a non-nil empty slice, but the engine defaults
-	// (exhaustive enumeration) fire only on nil; normalize so an
-	// explicitly empty list means "default", as documented, instead of
-	// a zero-execution sweep that would be cached forever.
-	if len(r.LabelPairs) == 0 {
-		r.LabelPairs = nil
-	}
-	if len(r.StartPairs) == 0 {
-		r.StartPairs = nil
-	}
-	if len(r.Delays) == 0 {
-		r.Delays = nil
-	}
-	g, err := r.Graph.Build()
+	sc, err := r.search()
 	if err != nil {
 		return nil, opts, err
 	}
-	ex, err := explore.ByName(r.Explorer, g, 16)
+	// The format admits benchmark-scale label spaces; the daemon does
+	// not (scenario.MaxL > serve.MaxL).
+	if l := sc.EffectiveL(); l > MaxL {
+		return nil, opts, fmt.Errorf("serve: l %d exceeds the served maximum %d", l, MaxL)
+	}
+	m, err := sc.Compile(scenario.Options{})
 	if err != nil {
-		return nil, opts, fmt.Errorf("serve: %w", err)
-	}
-	algo, err := core.AlgorithmByName(r.Algorithm)
-	if err != nil {
-		return nil, opts, fmt.Errorf("serve: %w", err)
-	}
-	L := r.L
-	if L == 0 && r.LabelPairs != nil {
-		// L omitted: the smallest label space containing every listed
-		// label.
-		for _, lp := range r.LabelPairs {
-			L = max(L, lp[0], lp[1])
-		}
-	}
-	if L < 2 {
-		return nil, opts, fmt.Errorf("serve: need L >= 2 (got %d)", L)
-	}
-	if L > MaxL {
-		return nil, opts, fmt.Errorf("serve: L %d exceeds the served maximum %d", L, MaxL)
-	}
-	if r.LabelPairs != nil {
-		for i, lp := range r.LabelPairs {
-			if lp[0] < 1 || lp[1] < 1 || lp[0] > L || lp[1] > L {
-				return nil, opts, fmt.Errorf("serve: labelPairs[%d] = %v: labels must be in 1..%d", i, lp, L)
-			}
-		}
-	}
-	// Start pairs and delays are validated here rather than left to the
-	// engine, so every malformed request is a 400 before a flight or a
-	// pool slot exists (sim.SearchSpace.Expand checks neither start
-	// ranges nor delay signs; the daemon does not serve the degenerate
-	// spaces the generic tier tolerates for library callers). List
-	// lengths and delay magnitudes are capped for the same reason the
-	// graph size is: one request must not be able to hurt the shared
-	// process.
-	if len(r.LabelPairs) > MaxListLen || len(r.StartPairs) > MaxListLen || len(r.Delays) > MaxListLen {
-		return nil, opts, fmt.Errorf("serve: enumeration lists are capped at %d entries", MaxListLen)
-	}
-	for i, sp := range r.StartPairs {
-		if sp[0] < 0 || sp[0] >= g.N() || sp[1] < 0 || sp[1] >= g.N() {
-			return nil, opts, fmt.Errorf("serve: startPairs[%d] = %v: nodes must be in 0..%d", i, sp, g.N()-1)
-		}
-		if sp[0] == sp[1] {
-			return nil, opts, fmt.Errorf("serve: startPairs[%d] = %v: the model requires distinct start nodes", i, sp)
-		}
-	}
-	for i, d := range r.Delays {
-		if d < 0 || d > MaxDelay {
-			return nil, opts, fmt.Errorf("serve: delays[%d] = %d: want 0..%d", i, d, MaxDelay)
-		}
-	}
-	sym := adversary.SymmetryAuto
-	if r.Symmetry != "" {
-		sym, err = adversary.ParseSymmetry(r.Symmetry)
-		if err != nil {
-			return nil, opts, fmt.Errorf("serve: %w", err)
-		}
-	}
-	params := core.Params{L: L}
-	m := adversary.PaperModel{
-		Spec: adversary.Spec{
-			Graph:       g,
-			Explorer:    ex,
-			ScheduleFor: func(l int) sim.Schedule { return algo.Schedule(l, params) },
-		},
-		Space:    sim.SearchSpace{L: L, LabelPairs: r.LabelPairs, StartPairs: r.StartPairs, Delays: r.Delays},
-		Symmetry: sym,
+		return nil, opts, err
 	}
 	return m, opts, nil
+}
+
+// search returns the scenario document the request spells: the
+// parsed "scenario" body, or the inline fields lowered field for field
+// (inline L is the document's l).
+func (r Request) search() (scenario.Search, error) {
+	if r.Scenario != nil {
+		// The document is a complete search of its own; the inline
+		// fields must all be absent, so a request can never
+		// half-override what the document pins.
+		if r.Graph != (GraphSpec{}) || r.Explorer != "" || r.Algorithm != "" || r.L != 0 ||
+			r.LabelPairs != nil || r.StartPairs != nil || r.Delays != nil || r.Symmetry != "" {
+			return scenario.Search{}, fmt.Errorf("serve: scenario and inline search fields are mutually exclusive")
+		}
+		sc, err := scenario.ParseSearch(r.Scenario)
+		if err != nil {
+			return scenario.Search{}, err
+		}
+		return *sc, nil
+	}
+	return scenario.Search{
+		Version:    scenario.Version,
+		Graph:      scenario.GraphSpec{Family: r.Graph.Family, N: r.Graph.N, Rows: r.Graph.Rows, Cols: r.Graph.Cols},
+		Explorer:   r.Explorer,
+		Algorithm:  r.Algorithm,
+		L:          r.L,
+		LabelPairs: r.LabelPairs,
+		StartPairs: r.StartPairs,
+		Delays:     r.Delays,
+		Symmetry:   r.Symmetry,
+	}, nil
 }
 
 // Response is the body of a non-streaming POST /search answer.
@@ -1424,8 +1286,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The shard-count agreement and range checks only need the cheap
-	// count derivation (PlanShards builds no executor state and is
-	// pinned to agree with NewPlan); the heavy plan — meeting tables,
+	// count derivation (ModelPlanShards builds no executor state and is
+	// pinned to agree with NewModelPlan); the heavy plan — meeting tables,
 	// trajectory caches — is built inside the engine pool below, so a
 	// burst of shard requests cannot allocate unboundedly before the
 	// pool gates it.

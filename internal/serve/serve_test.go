@@ -457,8 +457,8 @@ func TestNoStoreServer(t *testing.T) {
 	}
 }
 
-// TestGraphSpecFamilies sanity-checks every accepted family builds
-// the advertised graph.
+// TestGraphSpecFamilies sanity-checks that every inline family
+// compiles to the advertised graph.
 func TestGraphSpecFamilies(t *testing.T) {
 	cases := []struct {
 		spec  GraphSpec
@@ -475,10 +475,11 @@ func TestGraphSpecFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.spec.Family, func(t *testing.T) {
-			g, err := tc.spec.Build()
+			m, _, err := Request{Graph: tc.spec, Algorithm: "cheap", L: 2}.compile(0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			g := m.(adversary.PaperModel).Spec.Graph
 			if g.N() != tc.wantN {
 				t.Errorf("N = %d, want %d", g.N(), tc.wantN)
 			}

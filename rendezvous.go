@@ -301,8 +301,8 @@ type (
 	// JSON; any registered model).
 	ScenarioSearch = scenario.Search
 	// ScenarioFile is a named collection of scenario searches,
-	// optionally bound to a bench experiment for equivalence
-	// verification.
+	// optionally bound to the bench experiment whose searches it
+	// holds.
 	ScenarioFile = scenario.File
 	// ScenarioOptions supplies runner-side defaults (tier, symmetry,
 	// table budget) a document does not pin.
