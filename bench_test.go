@@ -8,11 +8,13 @@
 package rendezvous_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"rendezvous"
 
+	"rendezvous/internal/adversary"
 	"rendezvous/internal/bench"
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
@@ -47,7 +49,7 @@ func ringWorstBench(b *testing.B, n, L int, algo core.Algorithm, delays []int) {
 		tc := sim.NewTrajectories(g, explore.OrientedRingSweep{}, func(l int) sim.Schedule {
 			return algo.Schedule(l, params)
 		})
-		wc, err := sim.Search(tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets, Delays: delays})
+		wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets, Delays: delays})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +106,7 @@ func BenchmarkE5RelabelScaling(b *testing.B) {
 		tc := sim.NewTrajectories(g, explore.OrientedRingSweep{}, func(l int) sim.Schedule {
 			return algo.Schedule(l, params)
 		})
-		if _, err := sim.Search(tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets}); err != nil {
+		if _, err := sim.Search(context.Background(), tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +189,7 @@ func BenchmarkE10TradeoffCurve(b *testing.B) {
 			tc := sim.NewTrajectories(g, explore.OrientedRingSweep{}, func(l int) sim.Schedule {
 				return algo.Schedule(l, params)
 			})
-			if _, err := sim.Search(tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets}); err != nil {
+			if _, err := sim.Search(context.Background(), tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -207,7 +209,7 @@ func BenchmarkE11Separation(b *testing.B) {
 			tc := sim.NewTrajectories(g, explore.OrientedRingSweep{}, func(l int) sim.Schedule {
 				return algo.Schedule(l, params)
 			})
-			if _, err := sim.Search(tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets}); err != nil {
+			if _, err := sim.Search(context.Background(), tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -252,22 +254,39 @@ func BenchmarkE13Ablations(b *testing.B) {
 		tc := sim.NewTrajectories(g, explore.OrientedRingSweep{}, func(l int) sim.Schedule {
 			return core.FastUndoubled{}.Schedule(l, params)
 		})
-		if _, err := sim.Search(tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets, Delays: delays}); err != nil {
+		if _, err := sim.Search(context.Background(), tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets, Delays: delays}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkE14TradeoffCurveFine measures the segment-level executor's
-// sweep at L = 4096 — the workload only ringsim makes feasible.
+// BenchmarkE14TradeoffCurveFine measures the engine's ring-tier sweep
+// (the segment-level executor) at L = 4096 — the workload only ringsim
+// makes feasible.
 func BenchmarkE14TradeoffCurveFine(b *testing.B) {
 	const n, L = 24, 4096
 	algo := core.NewFastWithRelabeling(6)
 	params := core.Params{L: L}
-	pairs := [][2]int{{1, 2}, {L - 1, L}, {L / 2, L/2 + 1}, {17, 4001}, {2047, 2048}}
+	var offsets [][2]int
+	for d := 1; d < n; d++ {
+		offsets = append(offsets, [2]int{0, d})
+	}
+	m := adversary.PaperModel{
+		Spec: adversary.Spec{
+			Graph:       graph.OrientedRing(n),
+			Explorer:    explore.OrientedRingSweep{},
+			ScheduleFor: func(l int) sim.Schedule { return algo.Schedule(l, params) },
+		},
+		Space: sim.SearchSpace{
+			LabelPairs: [][2]int{{1, 2}, {L - 1, L}, {L / 2, L/2 + 1}, {17, 4001}, {2047, 2048}},
+			StartPairs: offsets,
+			Delays:     []int{0, 1, n - 1},
+		},
+		Tier: adversary.TierRing,
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wc, err := ringsim.Search(n, func(l int) sim.Schedule { return algo.Schedule(l, params) }, pairs, []int{0, 1, n - 1})
+		wc, err := adversary.SearchModel(m, adversary.Options{})
 		if err != nil || !wc.AllMet {
 			b.Fatalf("wc %+v err %v", wc, err)
 		}

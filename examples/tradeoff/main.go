@@ -78,11 +78,14 @@ func main() {
 		// The engine shards the sweep across GOMAXPROCS goroutines and,
 		// on the oriented ring with the sweep explorer, dispatches every
 		// execution to the O(|schedule|) segment-level executor.
-		wc, err := adversary.Search(adversary.Spec{
-			Graph:       g,
-			Explorer:    ex,
-			ScheduleFor: func(l int) sim.Schedule { return a.algo.Schedule(l, params) },
-		}, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets, Delays: delays}, adversary.Options{Workers: -1})
+		wc, err := adversary.SearchModel(adversary.PaperModel{
+			Spec: adversary.Spec{
+				Graph:       g,
+				Explorer:    ex,
+				ScheduleFor: func(l int) sim.Schedule { return a.algo.Schedule(l, params) },
+			},
+			Space: sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets, Delays: delays},
+		}, adversary.Options{Workers: -1})
 		if err != nil {
 			log.Fatal(err)
 		}

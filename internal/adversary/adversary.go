@@ -1,17 +1,21 @@
 // Package adversary is the unified adversary-search engine: one entry
-// point that enumerates a configuration space (label pairs × start
-// pairs × wake delays), executes every configuration, and reports the
-// worst rendezvous time and cost with their witnessing configurations.
+// point (SearchModel) that enumerates a model's configuration space
+// (label pairs × start pairs × wake delays), executes every
+// configuration, and reports the worst rendezvous time and cost with
+// their witnessing configurations.
 //
-// It layers two things on top of the serial scan in package sim:
+// It layers these things on top of the serial scan in package sim:
 //
 //   - Parallelism. The label-pair space is split into contiguous
-//     shards, one worker goroutine per shard, each with a private
-//     trajectory (or schedule) cache so the hot path takes no locks.
-//     Per-shard results are folded in shard order with a strictly-
-//     greater comparison, so the output — witnesses, Runs, AllMet — is
-//     bit-for-bit identical to the serial scan for every worker count
-//     and every goroutine schedule.
+//     shards, which a fixed pool of worker goroutines drains in shard
+//     order; each shard sweeps with a private trajectory (or schedule)
+//     cache so the hot path takes no locks. Per-shard results are
+//     folded in shard order with a strictly-greater comparison, so the
+//     output — witnesses, Runs, AllMet, and the first error — is
+//     bit-for-bit identical to the serial scan for every worker count,
+//     shard count and goroutine schedule. One driver runs every search:
+//     SearchModel is SearchModelCheckpointed with no checkpoint file
+//     and one shard per worker.
 //
 //   - Tiered dispatch. Executions are routed to the fastest executor
 //     that covers the spec:
@@ -58,7 +62,7 @@
 //     makes the reduction invisible except in Runs: values, witnesses
 //     and AllMet are bit-for-bit identical to the unreduced search
 //     (enforced by an exhaustive equivalence sweep and
-//     FuzzSymmetryEquivalence). Options.Symmetry selects
+//     FuzzSymmetryEquivalence). PaperModel.Symmetry selects
 //     Auto/Off/Forced.
 //
 // Package sim cannot host this dispatch itself because ringsim and
@@ -70,6 +74,7 @@ package adversary
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
@@ -203,44 +208,33 @@ func ParseSymmetry(s string) (Symmetry, error) {
 }
 
 // DefaultTableBudget is the memory the meeting-table tier may spend on
-// precomputed tables when Options.TableBudget is zero: 64 MiB, far
+// precomputed tables when PaperModel.TableBudget is zero: 64 MiB, far
 // above any experiment in the repository yet small enough to keep an
 // accidental huge-graph search from ballooning resident memory.
 const DefaultTableBudget int64 = 64 << 20
 
-// Options tunes how a search executes. The zero value runs serially
-// with automatic tier dispatch.
+// Options holds a search's execution options: how many goroutines run
+// it and what cancels it. Neither affects the result.
 type Options struct {
-	// Workers is the number of goroutines the label-pair space is
-	// sharded across. 0 and 1 run serially; a negative value selects
-	// GOMAXPROCS. Output is identical for every worker count.
+	// Workers is the number of goroutines the label-pair shards are
+	// swept on. 0 and 1 run serially in the calling goroutine; a
+	// negative value selects GOMAXPROCS. Output is identical for every
+	// worker count.
 	Workers int
 	// Context cancels a long-running search between executions; the
 	// search then returns ctx.Err(). Nil means context.Background().
 	Context context.Context
-	// Tier forces an execution tier; TierAuto (the zero value) picks
-	// the fastest eligible one. See Tier for the forcing semantics.
-	Tier Tier
-	// TableBudget caps, in bytes, the memory TierAuto may spend on
-	// meeting tables before falling back to the generic executor.
-	// 0 means DefaultTableBudget; negative disables the table tier
-	// under TierAuto. A forced TierTable ignores the budget.
-	TableBudget int64
-	// Symmetry selects the start-pair orbit reduction applied before
-	// tier dispatch. The zero value (SymmetryAuto) reduces whenever the
-	// graph's automorphism group permits; see Symmetry.
-	Symmetry Symmetry
 }
 
-func (o Options) simOptions() sim.SearchOptions {
-	return sim.SearchOptions{Workers: o.Workers, Context: o.Context}
-}
-
-func (o Options) tableBudget() int64 {
-	if o.TableBudget == 0 {
-		return DefaultTableBudget
+// resolveWorkers resolves the Workers option to a concrete goroutine
+// count for the given number of shardable units: clamped to
+// [1, units], negative selecting GOMAXPROCS.
+func (o Options) resolveWorkers(units int) int {
+	w := o.Workers
+	if w < 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return o.TableBudget
+	return max(1, min(w, units))
 }
 
 // Spec binds the model under attack: the graph, the EXPLORE procedure,
@@ -267,27 +261,6 @@ func (s Spec) FastPathEligible() bool {
 		return false
 	}
 	return graph.IsCanonicalOrientedRing(s.Graph)
-}
-
-// Search runs the adversary over the space and returns the worst time
-// and cost found, first quotienting the start pairs by the graph's
-// automorphism group (Options.Symmetry), then dispatching each
-// remaining execution to the fastest eligible executor. Identical
-// inputs yield identical outputs regardless of Workers, scheduling,
-// which executor ran, or whether the symmetry reduction fired — except
-// for Runs, which counts only the orbit representatives actually
-// executed: witnesses are the first configurations in canonical
-// enumeration order (labelPairs × startPairs × delays) achieving the
-// maxima, and every such first configuration is its orbit's
-// representative.
-//
-// Search is SearchModel over PaperModel: the (spec, space, opts)
-// spelling lowered onto the model contract and driven through the
-// engine's shared fan-out scaffolding — the compiled sweep (from
-// newSearchPlan, the one tier-dispatch implementation, shared with
-// SearchCheckpointed) on worker-count shards, folded in shard order.
-func Search(spec Spec, space sim.SearchSpace, opts Options) (sim.WorstCase, error) {
-	return SearchModel(paperModel(spec, space, opts), opts)
 }
 
 // reduceSpace is the symmetry-reduction step: it replaces the space's

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
 	"rendezvous/internal/meetoracle"
+	"rendezvous/internal/resultstore"
 	"rendezvous/internal/sim"
 )
 
@@ -24,40 +26,47 @@ func specFor(g *graph.Graph, ex explore.Explorer, algo core.Algorithm, L int) Sp
 }
 
 // TestParallelEquivalence is the engine's core guarantee: for every
-// worker count, on every graph family, the search returns the identical
-// WorstCase — same witnesses, same Runs, same AllMet — as the serial
-// scan. Witness equality is what makes the parallel engine safe to
-// substitute everywhere: it is not merely the same maxima, but the same
-// configurations in the same canonical order.
+// worker count, on every graph family and tier, the search returns the
+// identical WorstCase — same witnesses, same Runs, same AllMet — as
+// the serial scan. Witness equality is what makes the parallel engine
+// safe to substitute everywhere: it is not merely the same maxima, but
+// the same configurations in the same canonical order. Worker counts
+// run from two to more workers than label pairs (one pair per shard).
 func TestParallelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cases := []struct {
 		name  string
 		g     *graph.Graph
 		ex    explore.Explorer
+		algo  core.Algorithm
+		tier  Tier
 		space sim.SearchSpace
 	}{
-		{"ring-sweep", graph.OrientedRing(12), explore.OrientedRingSweep{},
+		{"ring-sweep", graph.OrientedRing(12), explore.OrientedRingSweep{}, core.Cheap{}, TierAuto,
 			sim.SearchSpace{L: 6, Delays: []int{0, 3, 11}}},
-		{"ring-dfs", graph.OrientedRing(9), explore.DFS{},
+		{"ring-dfs", graph.OrientedRing(9), explore.DFS{}, core.Cheap{}, TierAuto,
 			sim.SearchSpace{L: 5, Delays: []int{0, 1}}},
-		{"grid", graph.Grid(3, 3), explore.DFS{},
+		{"grid", graph.Grid(3, 3), explore.DFS{}, core.Cheap{}, TierAuto,
 			sim.SearchSpace{L: 5, Delays: []int{0, 4}}},
-		{"tree", graph.RandomTree(8, rng), explore.DFS{},
+		{"tree", graph.RandomTree(8, rng), explore.DFS{}, core.Cheap{}, TierAuto,
 			sim.SearchSpace{L: 5, Delays: []int{0, 7}}},
+		{"grid-3x4-generic", graph.Grid(3, 4), explore.DFS{}, core.Cheap{}, TierGeneric,
+			sim.SearchSpace{L: 6, Delays: []int{0, 5, 22}}},
+		{"ring-14-ring", graph.OrientedRing(14), explore.OrientedRingSweep{}, core.Fast{}, TierRing,
+			sim.SearchSpace{L: 8, Delays: []int{0, 1, 13}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := specFor(tc.g, tc.ex, core.Cheap{}, tc.space.L)
-			serial, err := Search(spec, tc.space, Options{})
+			m := PaperModel{Spec: specFor(tc.g, tc.ex, tc.algo, tc.space.L), Space: tc.space, Tier: tc.tier}
+			serial, err := SearchModel(m, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !serial.AllMet || serial.Runs == 0 {
 				t.Fatalf("serial baseline implausible: %+v", serial)
 			}
-			for _, workers := range []int{2, 3, 8, -1} {
-				par, err := Search(spec, tc.space, Options{Workers: workers})
+			for _, workers := range []int{2, 3, 7, 8, 30, 100, -1} {
+				par, err := SearchModel(m, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -82,12 +91,12 @@ func TestFastPathMatchesGeneric(t *testing.T) {
 		if !spec.FastPathEligible() {
 			t.Fatalf("%s: spec unexpectedly ineligible for the fast path", algo.Name())
 		}
-		generic, err := Search(spec, space, Options{Tier: TierGeneric})
+		generic, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 4} {
-			fast, err := Search(spec, space, Options{Workers: workers})
+			fast, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,11 +132,11 @@ func TestNegativeDelayFallsBack(t *testing.T) {
 	const n, L = 10, 4
 	spec := specFor(graph.OrientedRing(n), explore.OrientedRingSweep{}, core.Cheap{}, L)
 	space := sim.SearchSpace{L: L, Delays: []int{-1, 0}}
-	got, err := Search(spec, space, Options{Workers: 3})
+	got, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Search(spec, space, Options{Tier: TierGeneric})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,37 +157,54 @@ func TestEqualStartPairsRejectedEverywhere(t *testing.T) {
 		StartPairs: [][2]int{{3, 3}, {0, 5}},
 		Delays:     []int{0, 2},
 	}
-	for _, opts := range []Options{
-		{},
-		{Workers: 4},
-		{Tier: TierGeneric},
-		{Tier: TierTable},
-		{Tier: TierBatch},
-		{Tier: TierRing},
-		{Symmetry: SymmetryOff},
-		{Symmetry: SymmetryForced},
+	for _, tc := range []struct {
+		m       PaperModel
+		workers int
+	}{
+		{PaperModel{}, 1},
+		{PaperModel{}, 4},
+		{PaperModel{Tier: TierGeneric}, 1},
+		{PaperModel{Tier: TierTable}, 1},
+		{PaperModel{Tier: TierBatch}, 1},
+		{PaperModel{Tier: TierRing}, 1},
+		{PaperModel{Symmetry: SymmetryOff}, 1},
+		{PaperModel{Symmetry: SymmetryForced}, 1},
 	} {
-		if _, err := Search(spec, space, opts); err == nil {
-			t.Errorf("opts %+v: equal start pair accepted, want error", opts)
+		tc.m.Spec, tc.m.Space = spec, space
+		if _, err := SearchModel(tc.m, Options{Workers: tc.workers}); err == nil {
+			t.Errorf("tier=%v sym=%v workers=%d: equal start pair accepted, want error", tc.m.Tier, tc.m.Symmetry, tc.workers)
 		}
 	}
 }
 
 // TestCancellation: a cancelled context aborts the search with its
-// error, on both the generic and the fast path, serial and parallel.
+// error on every tier, serially and on the shard pool, through the
+// plain, the checkpointed and the cached entry points.
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	spec := specFor(graph.OrientedRing(12), explore.OrientedRingSweep{}, core.Cheap{}, 6)
+	ring := specFor(graph.OrientedRing(12), explore.OrientedRingSweep{}, core.Cheap{}, 6)
+	grid := specFor(graph.Grid(3, 3), explore.DFS{}, core.Cheap{}, 6)
 	space := sim.SearchSpace{L: 6}
-	for _, opts := range []Options{
-		{Context: ctx},
-		{Context: ctx, Workers: 4},
-		{Context: ctx, Tier: TierGeneric},
-		{Context: ctx, Workers: 4, Tier: TierGeneric},
-	} {
-		if _, err := Search(spec, space, opts); err != context.Canceled {
-			t.Errorf("opts %+v: err = %v, want context.Canceled", opts, err)
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{ring, grid} {
+		for _, tier := range tiersFor(spec) {
+			m := PaperModel{Spec: spec, Space: space, Tier: tier}
+			for _, workers := range []int{1, 3, 4} {
+				opts := Options{Context: ctx, Workers: workers}
+				if _, err := SearchModel(m, opts); err != context.Canceled {
+					t.Errorf("%v tier=%v workers=%d: err = %v, want context.Canceled", spec.Graph, tier, workers, err)
+				}
+				if _, err := SearchModelCheckpointed(m, opts, CheckpointConfig{Shards: 5}); err != context.Canceled {
+					t.Errorf("%v tier=%v workers=%d checkpointed: err = %v, want context.Canceled", spec.Graph, tier, workers, err)
+				}
+				if _, _, err := SearchModelCached(store, m, opts); err != context.Canceled {
+					t.Errorf("%v tier=%v workers=%d cached: err = %v, want context.Canceled", spec.Graph, tier, workers, err)
+				}
+			}
 		}
 	}
 }
@@ -187,28 +213,35 @@ func TestCancellation(t *testing.T) {
 // identically through every path.
 func TestSearchSpaceErrors(t *testing.T) {
 	spec := specFor(graph.OrientedRing(8), explore.OrientedRingSweep{}, core.Cheap{}, 4)
-	for _, opts := range []Options{{}, {Workers: 4}, {Tier: TierGeneric}} {
-		if _, err := Search(spec, sim.SearchSpace{L: 1}, opts); err == nil {
-			t.Errorf("opts %+v: want error for L < 2", opts)
+	space := sim.SearchSpace{L: 1}
+	for _, tc := range []struct {
+		tier    Tier
+		workers int
+	}{{TierAuto, 1}, {TierAuto, 4}, {TierGeneric, 1}} {
+		if _, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: tc.tier}, Options{Workers: tc.workers}); err == nil {
+			t.Errorf("tier=%v workers=%d: want error for L < 2", tc.tier, tc.workers)
 		}
 	}
 }
 
 // TestParallelRace exercises the sharded engine with enough workers to
 // interleave heavily; run with -race this is the concurrency test for
-// the whole engine (per-worker caches, result slots, merge).
+// the whole engine (per-shard caches, result slots, merge). The
+// generic tier's shards all clone one shared trajectory cache, so
+// concurrent searches of both tiers must neither race nor diverge.
 func TestParallelRace(t *testing.T) {
 	spec := specFor(graph.OrientedRing(16), explore.OrientedRingSweep{}, core.Fast{}, 8)
 	space := sim.SearchSpace{L: 8, Delays: []int{0, 1, 15}}
-	want, err := Search(spec, space, Options{Tier: TierGeneric})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
+		tier := []Tier{TierAuto, TierGeneric}[i]
 		go func() {
 			for j := 0; j < 3; j++ {
-				got, err := Search(spec, space, Options{Workers: 6})
+				got, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: tier}, Options{Workers: 6})
 				if err == nil && got != want {
 					err = fmt.Errorf("parallel result diverged: %+v vs %+v", got, want)
 				}
@@ -255,7 +288,7 @@ func TestTableTierMatchesGeneric(t *testing.T) {
 				if spec.FastPathEligible() {
 					t.Fatalf("%s: spec unexpectedly ring-eligible", algo.Name())
 				}
-				generic, err := Search(spec, space, Options{Tier: TierGeneric})
+				generic, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +297,7 @@ func TestTableTierMatchesGeneric(t *testing.T) {
 				}
 				for _, workers := range []int{0, 4} {
 					for _, tier := range []Tier{TierTable, TierBatch, TierAuto} {
-						got, err := Search(spec, space, Options{Workers: workers, Tier: tier})
+						got, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: tier}, Options{Workers: workers})
 						if err != nil {
 							t.Fatalf("%s workers=%d tier=%v: %v", algo.Name(), workers, tier, err)
 						}
@@ -288,11 +321,11 @@ func TestTableTierExplicitStarts(t *testing.T) {
 		StartPairs: [][2]int{{2, 6}, {0, 5}},
 		Delays:     []int{0, 3},
 	}
-	want, err := Search(spec, space, Options{Tier: TierGeneric})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Search(spec, space, Options{Tier: TierTable, Workers: 3})
+	got, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierTable}, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,17 +338,17 @@ func TestTableTierExplicitStarts(t *testing.T) {
 // silent substitution.
 func TestForcedTierErrors(t *testing.T) {
 	grid := specFor(graph.Grid(3, 3), explore.DFS{}, core.Cheap{}, 4)
-	if _, err := Search(grid, sim.SearchSpace{L: 4}, Options{Tier: TierRing}); err == nil {
+	if _, err := SearchModel(PaperModel{Spec: grid, Space: sim.SearchSpace{L: 4}, Tier: TierRing}, Options{}); err == nil {
 		t.Error("TierRing on a grid: want error")
 	}
 	badEx := specFor(graph.Grid(2, 3), explore.Eulerian{}, core.Cheap{}, 4)
-	if _, err := Search(badEx, sim.SearchSpace{L: 4}, Options{Tier: TierTable}); err == nil {
+	if _, err := SearchModel(PaperModel{Spec: badEx, Space: sim.SearchSpace{L: 4}, Tier: TierTable}, Options{}); err == nil {
 		t.Error("TierTable with an explorer that rejects the graph: want error")
 	}
-	if _, err := Search(badEx, sim.SearchSpace{L: 4}, Options{Tier: TierBatch}); err == nil {
+	if _, err := SearchModel(PaperModel{Spec: badEx, Space: sim.SearchSpace{L: 4}, Tier: TierBatch}, Options{}); err == nil {
 		t.Error("TierBatch with an explorer that rejects the graph: want error")
 	}
-	if _, err := Search(grid, sim.SearchSpace{L: 4}, Options{Tier: Tier(42)}); err == nil {
+	if _, err := SearchModel(PaperModel{Spec: grid, Space: sim.SearchSpace{L: 4}, Tier: Tier(42)}, Options{}); err == nil {
 		t.Error("unknown tier: want error")
 	}
 }
@@ -360,12 +393,12 @@ func TestAutoBudgetDecision(t *testing.T) {
 	}
 	spec := specFor(g, explore.DFS{}, core.Cheap{}, 3)
 	space := sim.SearchSpace{L: 3, StartPairs: [][2]int{{0, 4}, {8, 2}}, Delays: manyDelays[:2*e]}
-	want, err := Search(spec, space, Options{Tier: TierGeneric})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{0, budget, -1, 16} {
-		got, err := Search(spec, space, Options{TableBudget: budget})
+		got, err := SearchModel(PaperModel{Spec: spec, Space: space, TableBudget: budget}, Options{})
 		if err != nil {
 			t.Fatalf("budget=%d: %v", budget, err)
 		}
@@ -380,11 +413,11 @@ func TestAutoBudgetDecision(t *testing.T) {
 func TestTinyBudgetStillCorrect(t *testing.T) {
 	spec := specFor(graph.Grid(3, 3), explore.DFS{}, core.Fast{}, 4)
 	space := sim.SearchSpace{L: 4, Delays: []int{0, 2}}
-	want, err := Search(spec, space, Options{Tier: TierGeneric})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Search(spec, space, Options{TableBudget: 16, Workers: 2})
+	got, err := SearchModel(PaperModel{Spec: spec, Space: space, TableBudget: 16}, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,5 +435,34 @@ func TestTierStrings(t *testing.T) {
 		if got := tier.String(); got != want {
 			t.Errorf("Tier(%d).String() = %q, want %q", int(tier), got, want)
 		}
+	}
+}
+
+// TestResolveWorkers is the table-driven coverage for the worker-count
+// resolution rules: 0 and 1 are serial, negatives select GOMAXPROCS,
+// and the result is always clamped to [1, units].
+func TestResolveWorkers(t *testing.T) {
+	maxprocs := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		name    string
+		workers int
+		units   int
+		want    int
+	}{
+		{"zero is serial", 0, 100, 1},
+		{"one is serial", 1, 100, 1},
+		{"explicit count", 7, 100, 7},
+		{"clamped to units", 8, 3, 3},
+		{"negative selects GOMAXPROCS", -1, 1 << 30, maxprocs},
+		{"negative clamped to units", -1, 1, 1},
+		{"zero units never yields zero workers", 4, 0, 1},
+		{"negative units never yields zero workers", 4, -2, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := (Options{Workers: tc.workers}).resolveWorkers(tc.units); got != tc.want {
+				t.Errorf("resolveWorkers(%d) with Workers=%d = %d, want %d", tc.units, tc.workers, got, tc.want)
+			}
+		})
 	}
 }

@@ -29,9 +29,9 @@ func TestParseTier(t *testing.T) {
 	}
 }
 
-func planFor(t *testing.T, spec Spec, space sim.SearchSpace, opts Options) *searchPlan {
+func planFor(t *testing.T, m PaperModel) *searchPlan {
 	t.Helper()
-	p, err := newSearchPlan(spec, space, opts)
+	p, err := newSearchPlan(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestBatchAutoSelection(t *testing.T) {
 	spec := specFor(g, explore.DFS{}, core.Fast{}, 8)
 	dense := sim.SearchSpace{L: 8, Delays: []int{0, 1, e}} // 240 starts x 3 delays
 
-	if p := planFor(t, spec, dense, Options{}); p.tier != TierBatch {
+	if p := planFor(t, PaperModel{Spec: spec, Space: dense}); p.tier != TierBatch {
 		t.Errorf("dense sweep dispatched to %v, want batch", p.tier)
 	}
 	sparse := sim.SearchSpace{L: 8, StartPairs: [][2]int{{0, 1}, {2, 3}}, Delays: []int{0, 1}}
-	if p := planFor(t, spec, sparse, Options{}); p.tier != TierTable {
+	if p := planFor(t, PaperModel{Spec: spec, Space: sparse}); p.tier != TierTable {
 		t.Errorf("sparse sweep dispatched to %v, want table", p.tier)
 	}
 	// A budget that admits the scalar tables but not the larger batch
@@ -63,15 +63,15 @@ func TestBatchAutoSelection(t *testing.T) {
 	if batchEst := meetoracle.EstimateBatchBytes(g.N(), e, phases, len(dense.Delays)); batchEst <= mid {
 		t.Fatalf("test premise broken: batch estimate %d <= scalar estimate %d", batchEst, mid)
 	}
-	if p := planFor(t, spec, dense, Options{TableBudget: mid}); p.tier != TierTable {
+	if p := planFor(t, PaperModel{Spec: spec, Space: dense, TableBudget: mid}); p.tier != TierTable {
 		t.Errorf("mid-budget dense sweep dispatched to %v, want table", p.tier)
 	}
 	ring := specFor(graph.OrientedRing(16), explore.OrientedRingSweep{}, core.Fast{}, 8)
-	if p := planFor(t, ring, sim.SearchSpace{L: 8}, Options{}); p.tier != TierRing {
+	if p := planFor(t, PaperModel{Spec: ring, Space: sim.SearchSpace{L: 8}}); p.tier != TierRing {
 		t.Errorf("ring-eligible sweep dispatched to %v, want ring", p.tier)
 	}
 	negative := sim.SearchSpace{L: 8, Delays: []int{-1, 0}}
-	if p := planFor(t, spec, negative, Options{Tier: TierBatch}); p.tier != TierGeneric {
+	if p := planFor(t, PaperModel{Spec: spec, Space: negative, Tier: TierBatch}); p.tier != TierGeneric {
 		t.Errorf("forced batch on a negative-delay space dispatched to %v, want generic fallback", p.tier)
 	}
 }
@@ -88,7 +88,7 @@ func TestTablesPreparedBeforeFanOut(t *testing.T) {
 	spec := specFor(g, explore.DFS{}, core.Fast{}, 6)
 	space := sim.SearchSpace{L: 6, Delays: []int{0, 1, e, e + 7}}
 	for _, tier := range []Tier{TierTable, TierBatch, TierAuto} {
-		p := planFor(t, spec, space, Options{Tier: tier})
+		p := planFor(t, PaperModel{Spec: spec, Space: space, Tier: tier})
 		if p.oracle == nil {
 			t.Fatalf("tier %v resolved to %v: plan has no oracle", tier, p.tier)
 		}
@@ -102,7 +102,7 @@ func TestTablesPreparedBeforeFanOut(t *testing.T) {
 		if builds == 0 {
 			t.Errorf("tier %v: prepared oracle reports zero table builds", tier)
 		}
-		want, err := Search(spec, space, Options{Tier: tier})
+		want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: tier}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestTablesPreparedBeforeFanOut(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Errorf("tier %v: full-space sweep diverged from Search:\nwant: %+v\ngot:  %+v", tier, want, got)
+			t.Errorf("tier %v: full-space sweep diverged from SearchModel:\nwant: %+v\ngot:  %+v", tier, want, got)
 		}
 		if after := p.oracle.TableBuilds(); after != builds {
 			t.Errorf("tier %v: %d table build(s) occurred during the sweep; all tables must exist before RunShard", tier, after-builds)
@@ -133,7 +133,7 @@ func TestPrecompileOncePerSearch(t *testing.T) {
 			calls.Add(1)
 			return core.Fast{}.Schedule(l, params)
 		}}
-		if _, err := Search(spec, sim.SearchSpace{L: 6, Delays: []int{0, 1, e}}, Options{Workers: workers, Tier: tier}); err != nil {
+		if _, err := SearchModel(PaperModel{Spec: spec, Space: sim.SearchSpace{L: 6, Delays: []int{0, 1, e}}, Tier: tier}, Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return calls.Load()
@@ -166,7 +166,7 @@ func TestBatchSpeedupSmoke(t *testing.T) {
 	}
 	spec, space := unmarkedSpec(), unmarkedSpace()
 	measure := func(tier Tier) time.Duration {
-		p := planFor(t, spec, space, Options{Tier: tier})
+		p := planFor(t, PaperModel{Spec: spec, Space: space, Tier: tier})
 		if p.tier != tier {
 			t.Fatalf("plan resolved to %v, want %v", p.tier, tier)
 		}

@@ -38,13 +38,13 @@ func benchSpace() sim.SearchSpace {
 	return sim.SearchSpace{L: benchL, Delays: []int{0, 1, benchN - 1}}
 }
 
-func runSweep(b *testing.B, opts Options) {
+func runSweep(b *testing.B, m PaperModel, workers int) {
 	b.Helper()
-	spec, space := benchSpec(), benchSpace()
+	m.Spec, m.Space = benchSpec(), benchSpace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wc, err := Search(spec, space, opts)
+		wc, err := SearchModel(m, Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,19 +55,19 @@ func runSweep(b *testing.B, opts Options) {
 }
 
 func BenchmarkRingSweepSerial(b *testing.B) {
-	runSweep(b, Options{Workers: 1, Tier: TierGeneric})
+	runSweep(b, PaperModel{Tier: TierGeneric}, 1)
 }
 
 func BenchmarkRingSweepParallel(b *testing.B) {
-	runSweep(b, Options{Workers: -1, Tier: TierGeneric})
+	runSweep(b, PaperModel{Tier: TierGeneric}, -1)
 }
 
 func BenchmarkRingSweepFastPathSerial(b *testing.B) {
-	runSweep(b, Options{Workers: 1})
+	runSweep(b, PaperModel{}, 1)
 }
 
 func BenchmarkRingSweepFastPathParallel(b *testing.B) {
-	runSweep(b, Options{Workers: -1})
+	runSweep(b, PaperModel{}, -1)
 }
 
 // The grid pair below is the acceptance benchmark for the meeting-table
@@ -97,13 +97,13 @@ func gridSpace() sim.SearchSpace {
 	return sim.SearchSpace{L: 16, Delays: []int{0, 1, e}}
 }
 
-func runGridSweep(b *testing.B, opts Options) {
+func runGridSweep(b *testing.B, m PaperModel, workers int) {
 	b.Helper()
-	spec, space := gridSpec(), gridSpace()
+	m.Spec, m.Space = gridSpec(), gridSpace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wc, err := Search(spec, space, opts)
+		wc, err := SearchModel(m, Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,23 +114,23 @@ func runGridSweep(b *testing.B, opts Options) {
 }
 
 func BenchmarkGridSweepGeneric(b *testing.B) {
-	runGridSweep(b, Options{Workers: 1, Tier: TierGeneric})
+	runGridSweep(b, PaperModel{Tier: TierGeneric}, 1)
 }
 
 func BenchmarkGridSweepTable(b *testing.B) {
-	runGridSweep(b, Options{Workers: 1, Tier: TierTable})
+	runGridSweep(b, PaperModel{Tier: TierTable}, 1)
 }
 
 func BenchmarkGridSweepTableParallel(b *testing.B) {
-	runGridSweep(b, Options{Workers: -1, Tier: TierTable})
+	runGridSweep(b, PaperModel{Tier: TierTable}, -1)
 }
 
 func BenchmarkGridSweepBatch(b *testing.B) {
-	runGridSweep(b, Options{Workers: 1, Tier: TierBatch})
+	runGridSweep(b, PaperModel{Tier: TierBatch}, 1)
 }
 
 func BenchmarkGridSweepBatchParallel(b *testing.B) {
-	runGridSweep(b, Options{Workers: -1, Tier: TierBatch})
+	runGridSweep(b, PaperModel{Tier: TierBatch}, -1)
 }
 
 // The unmarked pair is the headline for the acceptance criterion: the
@@ -155,13 +155,13 @@ func unmarkedSpace() sim.SearchSpace {
 	return sim.SearchSpace{L: 8, Delays: []int{0, 1, e}}
 }
 
-func runUnmarkedSweep(b *testing.B, opts Options) {
+func runUnmarkedSweep(b *testing.B, m PaperModel, workers int) {
 	b.Helper()
-	spec, space := unmarkedSpec(), unmarkedSpace()
+	m.Spec, m.Space = unmarkedSpec(), unmarkedSpace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wc, err := Search(spec, space, opts)
+		wc, err := SearchModel(m, Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,11 +172,11 @@ func runUnmarkedSweep(b *testing.B, opts Options) {
 }
 
 func BenchmarkUnmarkedSweepGeneric(b *testing.B) {
-	runUnmarkedSweep(b, Options{Workers: 1, Tier: TierGeneric})
+	runUnmarkedSweep(b, PaperModel{Tier: TierGeneric}, 1)
 }
 
 func BenchmarkUnmarkedSweepTable(b *testing.B) {
-	runUnmarkedSweep(b, Options{Workers: 1, Tier: TierTable})
+	runUnmarkedSweep(b, PaperModel{Tier: TierTable}, 1)
 }
 
 // The batch variant is the acceptance benchmark for the 64-lane batch
@@ -186,7 +186,7 @@ func BenchmarkUnmarkedSweepTable(b *testing.B) {
 // scalar table tier on this sweep; the recorded numbers are in
 // DESIGN.md's engine section.
 func BenchmarkUnmarkedSweepBatch(b *testing.B) {
-	runUnmarkedSweep(b, Options{Workers: 1, Tier: TierBatch})
+	runUnmarkedSweep(b, PaperModel{Tier: TierBatch}, 1)
 }
 
 // The torus pair is the acceptance benchmark for the symmetry-orbit
@@ -215,13 +215,13 @@ func torusSpace() sim.SearchSpace {
 	return sim.SearchSpace{L: 16, Delays: []int{0, 1, e}}
 }
 
-func runTorusSweep(b *testing.B, opts Options) {
+func runTorusSweep(b *testing.B, m PaperModel, workers int) {
 	b.Helper()
-	spec, space := torusSpec(), torusSpace()
+	m.Spec, m.Space = torusSpec(), torusSpace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wc, err := Search(spec, space, opts)
+		wc, err := SearchModel(m, Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,24 +232,24 @@ func runTorusSweep(b *testing.B, opts Options) {
 }
 
 func BenchmarkTorusSweepSymmetryOff(b *testing.B) {
-	runTorusSweep(b, Options{Workers: 1, Symmetry: SymmetryOff})
+	runTorusSweep(b, PaperModel{Symmetry: SymmetryOff}, 1)
 }
 
 func BenchmarkTorusSweepSymmetryAuto(b *testing.B) {
-	runTorusSweep(b, Options{Workers: 1})
+	runTorusSweep(b, PaperModel{}, 1)
 }
 
 func BenchmarkTorusSweepSymmetryOffGeneric(b *testing.B) {
-	runTorusSweep(b, Options{Workers: 1, Symmetry: SymmetryOff, Tier: TierGeneric})
+	runTorusSweep(b, PaperModel{Symmetry: SymmetryOff, Tier: TierGeneric}, 1)
 }
 
 func BenchmarkTorusSweepSymmetryAutoGeneric(b *testing.B) {
-	runTorusSweep(b, Options{Workers: 1, Tier: TierGeneric})
+	runTorusSweep(b, PaperModel{Tier: TierGeneric}, 1)
 }
 
 // The store pair is the acceptance benchmark for the persistence
 // layer: the same 4x4-grid table-tier sweep, cold through the engine
-// versus answered from a warm result store (SearchCached hit: one
+// versus answered from a warm result store (SearchModelCached hit: one
 // fingerprint computation plus one small-file read — no engine work).
 // The measured gap (recorded in DESIGN.md "persistence" section) is
 // what makes the rdvd daemon's repeated-traffic path nearly free. Run
@@ -258,13 +258,13 @@ func BenchmarkTorusSweepSymmetryAutoGeneric(b *testing.B) {
 //	go test ./internal/adversary -bench BenchmarkStoreHitVsColdSearch
 
 func BenchmarkStoreHitVsColdSearch(b *testing.B) {
-	spec, space := gridSpec(), gridSpace()
-	opts := Options{Workers: 1, Tier: TierTable}
+	m := PaperModel{Spec: gridSpec(), Space: gridSpace(), Tier: TierTable}
+	opts := Options{Workers: 1}
 
 	b.Run("ColdTableSweep", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			wc, err := Search(spec, space, opts)
+			wc, err := SearchModel(m, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,13 +279,13 @@ func BenchmarkStoreHitVsColdSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Warm the store once, outside the timed loop.
-		if _, _, err := SearchCached(store, spec, space, opts); err != nil {
+		if _, _, err := SearchModelCached(store, m, opts); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			wc, cached, err := SearchCached(store, spec, space, opts)
+			wc, cached, err := SearchModelCached(store, m, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

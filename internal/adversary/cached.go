@@ -1,81 +1,34 @@
 package adversary
 
 import (
-	"fmt"
-
+	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
 	"rendezvous/internal/sim"
 )
 
-// Fingerprint returns the canonical content address of the search —
-// the resultstore key under which its WorstCase is cached. Requests
-// that denote the same computation fingerprint identically however
-// they are spelled (see resultstore's canonicalization rules), and
-// output-invariant options (Workers, Tier, TableBudget, Context) do
-// not contribute: only the symmetry mode does, because it changes
-// Runs.
-//
-// A forced tier the spec cannot run is an error here, although the
-// tier never enters the address: every store front (SearchCached, the
-// daemon, the bench harness) fingerprints before it consults its
-// store, so this is what keeps a hit on the same search from masking
-// the forcing error a cold run returns.
-func Fingerprint(spec Spec, space sim.SearchSpace, opts Options) (string, error) {
-	if err := validateForcedTier(spec, opts); err != nil {
-		return "", err
-	}
-	return resultstore.Fingerprint(resultstore.Key{
-		Graph:       spec.Graph,
-		Explorer:    spec.Explorer,
-		ScheduleFor: spec.ScheduleFor,
-		Space:       space,
-		Symmetry:    opts.Symmetry.String(),
-	})
-}
-
-// validateForcedTier reports the dispatch errors that do not depend on
-// the search space: an unknown forced tier, and TierRing forced on a
-// spec that is not ring-eligible. Every other cold-search error either
-// fails Fingerprint too (invalid space, explorer rejecting the graph)
-// or recurs on recompute (per-execution errors are never stored), so
-// no store hit can mask one.
-func validateForcedTier(spec Spec, opts Options) error {
-	tier := opts.Tier
-	switch tier {
-	case TierAuto, TierGeneric, TierTable, TierBatch:
-		return nil
-	case TierRing:
-		if !spec.FastPathEligible() {
-			return fmt.Errorf("adversary: TierRing forced but the spec is not ring-eligible (graph %v, explorer %s)", spec.Graph, spec.Explorer.Name())
-		}
-		return nil
-	default:
-		return fmt.Errorf("adversary: unknown tier %v", tier)
-	}
-}
-
-// SearchCached is Search fronted by a result store: a fingerprint hit
-// returns the stored WorstCase without touching the engine; a miss
-// (including one caused by a corrupt record) runs the search and
-// writes the result back. The store is best-effort — a failed
-// write-back is ignored (the next caller recomputes), and a search
-// that cannot be fingerprinted (one the engine would reject anyway,
-// or whose explorer rejects the graph) falls through to an uncached
-// Search. cached reports whether the result came from the store.
-func SearchCached(store *resultstore.Store, spec Spec, space sim.SearchSpace, opts Options) (wc sim.WorstCase, cached bool, err error) {
+// SearchModelCached is SearchModel fronted by a result store: a
+// fingerprint hit returns the stored WorstCase without touching the
+// engine; a miss (including one caused by a corrupt record) runs the
+// search and writes the result back. The store is best-effort — a
+// failed write-back is ignored (the next caller recomputes), and a
+// search that cannot be fingerprinted (one the engine would reject
+// anyway, or whose explorer rejects the graph) falls through to an
+// uncached SearchModel. cached reports whether the result came from
+// the store.
+func SearchModelCached(store *resultstore.Store, m model.Model, opts Options) (wc sim.WorstCase, cached bool, err error) {
 	if store == nil {
-		wc, err = Search(spec, space, opts)
+		wc, err = SearchModel(m, opts)
 		return wc, false, err
 	}
-	fp, ferr := Fingerprint(spec, space, opts)
+	fp, ferr := m.Fingerprint()
 	if ferr != nil {
-		wc, err = Search(spec, space, opts)
+		wc, err = SearchModel(m, opts)
 		return wc, false, err
 	}
 	if wc, ok := store.Get(fp); ok {
 		return wc, true, nil
 	}
-	wc, err = Search(spec, space, opts)
+	wc, err = SearchModel(m, opts)
 	if err != nil {
 		return sim.WorstCase{}, false, err
 	}

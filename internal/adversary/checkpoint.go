@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,16 +17,16 @@ import (
 	"rendezvous/internal/sim"
 )
 
-// This file adds checkpoint/resume to the engine. The key to resuming
-// with bit-for-bit identical output is that the shard decomposition is
-// fixed by the space alone — never by the worker count — and that the
-// per-shard results are folded in shard order with the same
-// strictly-greater Merge the parallel engine has always used: a merge
-// over any contiguous in-order partition of the enumeration yields
-// exactly the serial scan's witnesses, so it cannot matter which
+// This file is the engine's one fan-out driver and its checkpoint/
+// resume layer. The key to resuming with bit-for-bit identical output
+// is that a checkpointed search's shard decomposition is fixed by the
+// space alone — never by the worker count — and that the per-shard
+// results are folded in shard order with the strictly-greater Merge: a
+// merge over any contiguous in-order partition of the enumeration
+// yields exactly the serial scan's witnesses, so it cannot matter which
 // shards were replayed from the checkpoint file and which were
 // recomputed (or by which tier, since all tiers are bit-for-bit
-// equivalent).
+// equivalent), nor how many shards a plain SearchModel cut.
 
 // DefaultCheckpointShards is the shard count a checkpointed search
 // aims for when CheckpointConfig.Shards is zero: granular enough that
@@ -38,7 +37,7 @@ const DefaultCheckpointShards = 32
 // checkpointVersion versions the checkpoint file format.
 const checkpointVersion = 1
 
-// CheckpointConfig tunes SearchCheckpointed. The zero value runs a
+// CheckpointConfig tunes SearchModelCheckpointed. The zero value runs a
 // plain (unpersisted) sharded search with optional progress reporting.
 type CheckpointConfig struct {
 	// Path is the checkpoint file. Completed shards are appended to it
@@ -50,11 +49,11 @@ type CheckpointConfig struct {
 	// a different shard count is discarded on resume, never misread.
 	Shards int
 	// Fingerprint, when non-empty, is the search's precomputed content
-	// address (Fingerprint(spec, space, opts)), saving the
-	// recomputation when the caller already derived it (e.g. to name
-	// the checkpoint file). It must be the fingerprint of this very
-	// search: a wrong value would make resume discard or, worse,
-	// restore a foreign checkpoint. Empty means compute it here.
+	// address (the model's Fingerprint), saving the recomputation when
+	// the caller already derived it (e.g. to name the checkpoint file).
+	// It must be the fingerprint of this very search: a wrong value
+	// would make resume discard or, worse, restore a foreign
+	// checkpoint. Empty means compute it here.
 	Fingerprint string
 	// Progress, when non-nil, is called after every completed shard
 	// with the number of completed shards (including ones restored from
@@ -71,9 +70,8 @@ type CheckpointConfig struct {
 
 // searchPlan is a search lowered to shard form: the expanded
 // (symmetry-reduced) enumeration plus a sweep function that executes
-// one contiguous slice of label pairs on the tier Search would have
-// dispatched to. sweep is safe for concurrent calls on disjoint
-// shards.
+// one contiguous slice of label pairs on the dispatched tier. sweep is
+// safe for concurrent calls on any shards.
 type searchPlan struct {
 	labelPairs [][2]int
 	startPairs [][2]int
@@ -88,30 +86,22 @@ type searchPlan struct {
 	sweep  func(ctx context.Context, shard [][2]int) (sim.WorstCase, error)
 }
 
-// newSearchPlan is the engine's one tier-dispatch implementation:
-// symmetry reduction, then ring/table/generic tier selection with the
-// degenerate-space fallbacks, returning the per-shard executor instead
-// of running it. Search drives the plan through sim.Sharded;
-// SearchCheckpointed drives it through the fixed checkpoint shards —
-// both therefore dispatch identically by construction (and the
-// checkpointed equivalence tests pin the two entry points to each
-// other bit for bit).
-func newSearchPlan(spec Spec, space sim.SearchSpace, opts Options) (*searchPlan, error) {
-	reduced, err := reduceSpace(spec, space, opts.Symmetry)
+// newSearchPlan is the engine's one tier-dispatch implementation (the
+// paper model's compiler): symmetry reduction, then ring/table/generic
+// tier selection with the degenerate-space fallbacks, returning the
+// per-shard executor instead of running it.
+func newSearchPlan(m PaperModel) (*searchPlan, error) {
+	spec := m.Spec
+	reduced, err := reduceSpace(spec, m.Space, m.Symmetry)
 	if err != nil {
 		return nil, err
 	}
-	tier := opts.Tier
-	switch tier {
-	case TierAuto, TierGeneric, TierTable, TierRing, TierBatch:
-	default:
-		return nil, fmt.Errorf("adversary: unknown tier %v", tier)
+	// Forced-tier errors take precedence over space expansion errors
+	// (under SymmetryOff; the reduction expands the space first).
+	if err := m.checkTier(); err != nil {
+		return nil, err
 	}
-	// Forced-ring eligibility errors take precedence over space
-	// expansion errors.
-	if tier == TierRing && !spec.FastPathEligible() {
-		return nil, fmt.Errorf("adversary: TierRing forced but the spec is not ring-eligible (graph %v, explorer %s)", spec.Graph, spec.Explorer.Name())
-	}
+	tier := m.Tier
 	n := spec.Graph.N()
 	labelPairs, startPairs, delays, err := reduced.Expand(n)
 	if err != nil {
@@ -128,7 +118,7 @@ func newSearchPlan(spec Spec, space sim.SearchSpace, opts Options) (*searchPlan,
 			// when the start-pair × delay product is dense enough to fill
 			// its 64 lanes and the batch tables fit the budget, else the
 			// scalar table scan if its (smaller) tables fit, else generic.
-			budget := opts.tableBudget()
+			budget := m.tableBudget()
 			e := spec.Explorer.Duration(spec.Graph)
 			tier = TierGeneric
 			if budget >= 0 && n > 0 && e > 0 && !tableDegenerate(n, startPairs, delays) {
@@ -190,13 +180,12 @@ func newSearchPlan(spec Spec, space sim.SearchSpace, opts Options) (*searchPlan,
 		}
 		return plan, nil
 	}
-	// TierGeneric (explicit or by fallback): every shard gets its own
-	// trajectory cache, as in the parallel generic search.
+	// TierGeneric (explicit or by fallback): every shard sweep gets its
+	// own clone of the trajectory cache.
 	plan.tier = TierGeneric
 	tc := sim.NewTrajectories(spec.Graph, spec.Explorer, spec.ScheduleFor)
 	plan.sweep = func(ctx context.Context, shard [][2]int) (sim.WorstCase, error) {
-		return sim.SearchWith(tc.Clone(), sim.SearchSpace{LabelPairs: shard, StartPairs: startPairs, Delays: delays},
-			sim.SearchOptions{Workers: 1, Context: ctx})
+		return sim.Search(ctx, tc.Clone(), sim.SearchSpace{LabelPairs: shard, StartPairs: startPairs, Delays: delays})
 	}
 	return plan, nil
 }
@@ -219,7 +208,7 @@ func resolveShardCount(pairs, requested int) int {
 }
 
 // shardBounds returns the half-open label-pair range of shard i of
-// num, using the same contiguous split formula as sim.Sharded.
+// num: the contiguous split every driver and cluster peer shares.
 func shardBounds(pairs, num, i int) (lo, hi int) {
 	return i * pairs / num, (i + 1) * pairs / num
 }
@@ -377,42 +366,44 @@ func (w *checkpointWriter) close() {
 	w.f.Close()
 }
 
-// SearchCheckpointed is Search with shard-granular checkpoint/resume:
-// the label-pair space is split into a fixed number of contiguous
-// shards (independent of the worker count), each completed shard's
-// result is appended to cfg.Path as it finishes, and a rerun of the
-// same search resumes from the completed shards. The merged output —
-// values, witnesses, Runs, AllMet — is bit-for-bit identical to an
-// uninterrupted Search for every worker count, every interruption
-// point, and every tier/symmetry combination (a resumed shard may even
-// be replayed by a different tier than the one that computed it, since
-// all tiers are equivalent). A checkpoint file whose fingerprint,
-// shard count or format does not match the current search is
-// discarded, not misread.
+// SearchModelCheckpointed is SearchModel with shard-granular
+// checkpoint/resume: the label-pair space is split into a fixed number
+// of contiguous shards (cfg.Shards, independent of the worker count),
+// each completed shard's result is appended to cfg.Path as it
+// finishes, and a rerun of the same search resumes from the completed
+// shards. The merged output — values, witnesses, Runs, AllMet — is
+// bit-for-bit identical to an uninterrupted SearchModel for every
+// worker count, every interruption point, and every tier/symmetry
+// combination (a resumed shard may even be replayed by a different
+// tier than the one that computed it, since all tiers are equivalent).
+// The checkpoint file is bound to the model's own fingerprint (its own
+// domain salt), so checkpoints of different models can never be
+// misread for each other; a file whose fingerprint, shard count or
+// format does not match the current search is discarded, not misread.
 //
 // On cancellation the search returns the context's error and the
 // checkpoint keeps every completed shard; the caller retries with the
 // same arguments to resume. A search that cannot be fingerprinted
 // (its explorer rejects the graph, so there is no content address to
-// bind a checkpoint to) runs without persistence, exactly as Search
-// would run it.
-func SearchCheckpointed(spec Spec, space sim.SearchSpace, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
-	return SearchModelCheckpointed(paperModel(spec, space, opts), opts, cfg)
-}
-
-// SearchModelCheckpointed is SearchCheckpointed over any model: the
-// model-generic checkpoint driver. It has SearchCheckpointed's entire
-// contract — fixed shards, append-as-completed persistence, resume,
-// bit-for-bit identity with SearchModel for every worker count and
-// interruption point — with the checkpoint file bound to the model's
-// own fingerprint (its own domain salt), so checkpoints of different
-// models can never be misread for each other. Only the execution
-// options (Workers, Context) are read from opts.
+// bind a checkpoint to) runs without persistence, exactly as
+// SearchModel would run it.
 func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
 	plan, err := NewModelPlan(m, cfg.Shards)
 	if err != nil {
 		return sim.WorstCase{}, err
 	}
+	return runPlan(m, plan, opts, cfg)
+}
+
+// runPlan is the engine's one fan-out driver. It restores the shards
+// cfg's checkpoint holds, sweeps the rest on a pool of resolved-worker
+// goroutines that take shards in index order, and folds every shard's
+// result in shard order. Once a shard fails no new shard starts and
+// running higher-indexed shards are cancelled, while lower-indexed ones
+// run to completion: the reported error is then always the lowest
+// failing shard's — the serial scan's first error — however the shards
+// were scheduled.
+func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
 	num := plan.Shards()
 	obs := cfg.Observer
 	if obs.PlanReady != nil {
@@ -423,13 +414,14 @@ func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) 
 	var writer *checkpointWriter
 	if cfg.Path != "" {
 		fp := cfg.Fingerprint
+		var err error
 		if fp == "" {
 			if fp, err = m.Fingerprint(); err != nil {
 				// Unfingerprintable searches (an explorer that rejects the
 				// graph) cannot be bound to a checkpoint file, but the
 				// generic tier may still execute them (schedules that never
-				// explore); run without persistence, exactly as SearchCached
-				// runs them without the store.
+				// explore); run without persistence, exactly as
+				// SearchModelCached runs them without the store.
 				cfg.Path = ""
 				fp = ""
 			}
@@ -466,28 +458,28 @@ func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) 
 		if parent == nil {
 			parent = context.Background()
 		}
-		ctx, cancel := context.WithCancel(parent)
-		defer cancel()
-
-		workers := sim.SearchOptions{Workers: opts.Workers}.ResolveWorkers(len(todo))
 		var (
-			mu   sync.Mutex
-			next int
-			errs = make(map[int]error)
-			wg   sync.WaitGroup
+			mu       sync.Mutex
+			next     int
+			failed   = -1 // lowest failing shard; -1 while none has failed
+			firstErr error
+			cancels  = make([]context.CancelFunc, num) // of running shards
 		)
-		for w := 0; w < workers; w++ {
+		var wg sync.WaitGroup
+		for range opts.resolveWorkers(len(todo)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
 					mu.Lock()
-					if next >= len(todo) {
+					if next >= len(todo) || failed >= 0 {
 						mu.Unlock()
 						return
 					}
 					i := todo[next]
 					next++
+					ctx, cancel := context.WithCancel(parent)
+					cancels[i] = cancel
 					mu.Unlock()
 
 					if obs.ShardStarted != nil {
@@ -511,9 +503,19 @@ func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) 
 						}
 					}
 					mu.Lock()
+					cancels[i] = nil
+					cancel()
 					if err != nil {
-						errs[i] = err
-						cancel() // stop sibling shards; theirs report ctx.Canceled
+						if failed < 0 || i < failed {
+							failed, firstErr = i, err
+							// Shards above the failure cannot change the
+							// reported error; shards below it still can.
+							for _, c := range cancels[i+1:] {
+								if c != nil {
+									c()
+								}
+							}
+						}
 					} else {
 						results[i] = wc
 						completed++
@@ -530,21 +532,8 @@ func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) 
 		if err := parent.Err(); err != nil {
 			return sim.WorstCase{}, err
 		}
-		if len(errs) > 0 {
-			// Deterministic error choice: the lowest-indexed shard that
-			// failed for a real reason (sibling shards cancelled by our
-			// internal cancel() only report context.Canceled).
-			idxs := make([]int, 0, len(errs))
-			for i := range errs {
-				idxs = append(idxs, i)
-			}
-			sort.Ints(idxs)
-			for _, i := range idxs {
-				if !errors.Is(errs[i], context.Canceled) {
-					return sim.WorstCase{}, errs[i]
-				}
-			}
-			return sim.WorstCase{}, errs[idxs[0]]
+		if failed >= 0 {
+			return sim.WorstCase{}, firstErr
 		}
 	}
 

@@ -3,9 +3,11 @@ package adversary
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"rendezvous/internal/core"
@@ -48,11 +50,13 @@ func tiersFor(spec Spec) []Tier {
 	return tiers
 }
 
-// TestCheckpointedEquivalenceSweep pins the tentpole guarantee for
-// uninterrupted runs: SearchCheckpointed (with and without a
-// checkpoint file) returns a WorstCase bit-for-bit equal to Search,
-// for every family x tier x symmetry mode in the sweep matrix and for
-// serial and parallel worker counts.
+// TestCheckpointedEquivalenceSweep pins the driver's guarantee for
+// uninterrupted runs: for every family x tier x symmetry mode in the
+// sweep matrix and workers {1, 2, 8}, SearchModel,
+// SearchModelCheckpointed (1 shard, one shard per worker, 32 shards,
+// and with a checkpoint file) and the cluster's path — NewModelPlan,
+// RunShard on concurrent goroutines, MergeShards — all return a
+// WorstCase bit-for-bit equal to the serial SearchModel.
 func TestCheckpointedEquivalenceSweep(t *testing.T) {
 	const L = 3
 	space := sim.SearchSpace{L: L, Delays: []int{0, 1}}
@@ -61,34 +65,64 @@ func TestCheckpointedEquivalenceSweep(t *testing.T) {
 			spec := specFor(f.g, f.ex, core.Cheap{}, L)
 			for _, tier := range tiersFor(spec) {
 				for _, sym := range []Symmetry{SymmetryAuto, SymmetryOff, SymmetryForced} {
-					opts := Options{Tier: tier, Symmetry: sym}
-					want, err := Search(spec, space, opts)
+					m := PaperModel{Spec: spec, Space: space, Tier: tier, Symmetry: sym}
+					want, err := SearchModel(m, Options{})
 					if err != nil {
-						t.Fatalf("tier=%v sym=%v: Search: %v", tier, sym, err)
+						t.Fatalf("tier=%v sym=%v: SearchModel: %v", tier, sym, err)
 					}
-					for _, workers := range []int{1, 4} {
-						opts.Workers = workers
-						got, err := SearchCheckpointed(spec, space, opts, CheckpointConfig{Shards: 5})
+					check := func(what string, workers int, got sim.WorstCase, err error) {
+						t.Helper()
 						if err != nil {
-							t.Fatalf("tier=%v sym=%v workers=%d: %v", tier, sym, workers, err)
+							t.Fatalf("tier=%v sym=%v workers=%d %s: %v", tier, sym, workers, what, err)
 						}
 						if got != want {
-							t.Errorf("tier=%v sym=%v workers=%d diverged:\nsearch: %+v\nckpt:   %+v",
-								tier, sym, workers, want, got)
+							t.Errorf("tier=%v sym=%v workers=%d %s diverged:\nserial: %+v\ngot:    %+v",
+								tier, sym, workers, what, want, got)
 						}
 					}
+					for _, workers := range []int{1, 2, 8} {
+						opts := Options{Workers: workers}
+						got, err := SearchModel(m, opts)
+						check("SearchModel", workers, got, err)
+						for _, shards := range []int{1, workers, 32} {
+							got, err := SearchModelCheckpointed(m, opts, CheckpointConfig{Shards: shards})
+							check(fmt.Sprintf("checkpointed/%d shards", shards), workers, got, err)
+						}
+						got, err = runPlanConcurrently(m, workers)
+						check("plan", workers, got, err)
+					}
 					path := filepath.Join(t.TempDir(), "sweep.ckpt")
-					got, err := SearchCheckpointed(spec, space, opts, CheckpointConfig{Path: path, Shards: 5})
-					if err != nil {
-						t.Fatalf("tier=%v sym=%v with file: %v", tier, sym, err)
-					}
-					if got != want {
-						t.Errorf("tier=%v sym=%v with file diverged:\nsearch: %+v\nckpt:   %+v", tier, sym, want, got)
-					}
+					got, err := SearchModelCheckpointed(m, Options{}, CheckpointConfig{Path: path, Shards: 5})
+					check("with file", 1, got, err)
 				}
 			}
 		})
 	}
+}
+
+// runPlanConcurrently is the cluster dispatcher's path in one process:
+// a plan of one shard per worker, every shard run on its own goroutine,
+// folded with MergeShards.
+func runPlanConcurrently(m PaperModel, workers int) (sim.WorstCase, error) {
+	plan, err := NewModelPlan(m, workers)
+	if err != nil {
+		return sim.WorstCase{}, err
+	}
+	results := make([]sim.WorstCase, plan.Shards())
+	errs := make([]error, plan.Shards())
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = plan.RunShard(context.Background(), i)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return sim.WorstCase{}, err
+	}
+	return MergeShards(results), nil
 }
 
 // TestCheckpointResumeEquivalence is the acceptance criterion for
@@ -110,9 +144,10 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			spec := specFor(f.g, f.ex, core.Fast{}, L)
 			for _, tier := range tiersFor(spec) {
 				for _, sym := range []Symmetry{SymmetryAuto, SymmetryOff, SymmetryForced} {
-					want, err := Search(spec, space, Options{Tier: tier, Symmetry: sym})
+					m := PaperModel{Spec: spec, Space: space, Tier: tier, Symmetry: sym}
+					want, err := SearchModel(m, Options{})
 					if err != nil {
-						t.Fatalf("tier=%v sym=%v: Search: %v", tier, sym, err)
+						t.Fatalf("tier=%v sym=%v: SearchModel: %v", tier, sym, err)
 					}
 					path := filepath.Join(t.TempDir(), "resume.ckpt")
 
@@ -128,8 +163,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 							cancel()
 						}
 					}
-					_, err = SearchCheckpointed(spec, space,
-						Options{Tier: tier, Symmetry: sym, Workers: 1, Context: ctx},
+					_, err = SearchModelCheckpointed(m, Options{Workers: 1, Context: ctx},
 						CheckpointConfig{Path: path, Shards: shards, Progress: progress})
 					cancel()
 					if err == nil {
@@ -141,8 +175,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 					// Resumed run: fresh context, different worker count.
 					resumedFrom := -1
-					got, err := SearchCheckpointed(spec, space,
-						Options{Tier: tier, Symmetry: sym, Workers: resumeWkrs},
+					got, err := SearchModelCheckpointed(m, Options{Workers: resumeWkrs},
 						CheckpointConfig{Path: path, Shards: shards, Progress: func(completed, total int) {
 							if resumedFrom < 0 {
 								resumedFrom = completed
@@ -172,7 +205,7 @@ func TestCheckpointCrossTierResume(t *testing.T) {
 	const L = 3
 	spec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Fast{}, L)
 	space := sim.SearchSpace{L: L, Delays: []int{0, 1}}
-	want, err := Search(spec, space, Options{})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +213,7 @@ func TestCheckpointCrossTierResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fresh := 0
-	_, err = SearchCheckpointed(spec, space, Options{Tier: TierGeneric, Workers: 1, Context: ctx},
+	_, err = SearchModelCheckpointed(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{Workers: 1, Context: ctx},
 		CheckpointConfig{Path: path, Shards: 6, Progress: func(completed, total int) {
 			fresh = completed
 			if completed >= 3 {
@@ -196,7 +229,7 @@ func TestCheckpointCrossTierResume(t *testing.T) {
 	}
 
 	restored := -1
-	got, err := SearchCheckpointed(spec, space, Options{Tier: TierRing},
+	got, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space, Tier: TierRing}, Options{},
 		CheckpointConfig{Path: path, Shards: 6, Progress: func(completed, total int) {
 			if restored < 0 {
 				restored = completed
@@ -221,7 +254,7 @@ func TestCheckpointTableToBatchResume(t *testing.T) {
 	const L = 3
 	spec := specFor(graph.Grid(3, 3), explore.DFS{}, core.Fast{}, L)
 	space := sim.SearchSpace{L: L, Delays: []int{0, 1, 5}}
-	want, err := Search(spec, space, Options{})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +262,7 @@ func TestCheckpointTableToBatchResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fresh := 0
-	_, err = SearchCheckpointed(spec, space, Options{Tier: TierTable, Workers: 1, Context: ctx},
+	_, err = SearchModelCheckpointed(PaperModel{Spec: spec, Space: space, Tier: TierTable}, Options{Workers: 1, Context: ctx},
 		CheckpointConfig{Path: path, Shards: 6, Progress: func(completed, total int) {
 			fresh = completed
 			if completed >= 3 {
@@ -245,7 +278,7 @@ func TestCheckpointTableToBatchResume(t *testing.T) {
 	}
 
 	restored := -1
-	got, err := SearchCheckpointed(spec, space, Options{Tier: TierBatch},
+	got, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space, Tier: TierBatch}, Options{},
 		CheckpointConfig{Path: path, Shards: 6, Progress: func(completed, total int) {
 			if restored < 0 {
 				restored = completed
@@ -271,18 +304,18 @@ func TestCheckpointDiscardsForeignFile(t *testing.T) {
 	space := sim.SearchSpace{L: L}
 
 	ringSpec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Cheap{}, L)
-	if _, err := SearchCheckpointed(ringSpec, space, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
+	if _, err := SearchModelCheckpointed(PaperModel{Spec: ringSpec, Space: space}, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("different-search", func(t *testing.T) {
 		pathSpec := specFor(graph.Path(5), explore.DFS{}, core.Cheap{}, L)
-		want, err := Search(pathSpec, space, Options{})
+		want, err := SearchModel(PaperModel{Spec: pathSpec, Space: space}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		restored := -1
-		got, err := SearchCheckpointed(pathSpec, space, Options{},
+		got, err := SearchModelCheckpointed(PaperModel{Spec: pathSpec, Space: space}, Options{},
 			CheckpointConfig{Path: path, Shards: 4, Progress: func(completed, total int) {
 				if restored < 0 {
 					restored = completed
@@ -300,11 +333,11 @@ func TestCheckpointDiscardsForeignFile(t *testing.T) {
 	})
 	t.Run("different-shard-count", func(t *testing.T) {
 		restored := -1
-		want, err := Search(ringSpec, space, Options{})
+		want, err := SearchModel(PaperModel{Spec: ringSpec, Space: space}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SearchCheckpointed(ringSpec, space, Options{},
+		got, err := SearchModelCheckpointed(PaperModel{Spec: ringSpec, Space: space}, Options{},
 			CheckpointConfig{Path: path, Shards: 5, Progress: func(completed, total int) {
 				if restored < 0 {
 					restored = completed
@@ -329,12 +362,12 @@ func TestCheckpointSurvivesTornWrite(t *testing.T) {
 	const L = 3
 	spec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Cheap{}, L)
 	space := sim.SearchSpace{L: L}
-	want, err := Search(spec, space, Options{})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "torn.ckpt")
-	if _, err := SearchCheckpointed(spec, space, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
+	if _, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -347,7 +380,7 @@ func TestCheckpointSurvivesTornWrite(t *testing.T) {
 	f.Close()
 
 	restored := -1
-	got, err := SearchCheckpointed(spec, space, Options{},
+	got, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{},
 		CheckpointConfig{Path: path, Shards: 4, Progress: func(completed, total int) {
 			if restored < 0 {
 				restored = completed
@@ -367,8 +400,8 @@ func TestCheckpointSurvivesTornWrite(t *testing.T) {
 // TestCheckpointedUnfingerprintableFallsBack: a search whose explorer
 // rejects the graph has no content address to bind a checkpoint to,
 // but the generic tier can still execute it (schedules that never
-// explore); SearchCheckpointed must match Search instead of failing
-// on the fingerprint.
+// explore); SearchModelCheckpointed must match SearchModel instead of
+// failing on the fingerprint.
 func TestCheckpointedUnfingerprintableFallsBack(t *testing.T) {
 	// Eulerian rejects the star (odd degrees), but wait-only schedules
 	// never invoke it, so the generic tier executes them on any graph.
@@ -378,14 +411,14 @@ func TestCheckpointedUnfingerprintableFallsBack(t *testing.T) {
 		ScheduleFor: func(l int) sim.Schedule { return sim.Schedule{sim.SegmentWait, sim.SegmentWait} },
 	}
 	space := sim.SearchSpace{L: 3}
-	want, err := Search(spec, space, Options{})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil {
-		t.Fatalf("Search on wait-only schedules: %v", err)
+		t.Fatalf("SearchModel on wait-only schedules: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "unfp.ckpt")
-	got, err := SearchCheckpointed(spec, space, Options{}, CheckpointConfig{Path: path, Shards: 3})
+	got, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{}, CheckpointConfig{Path: path, Shards: 3})
 	if err != nil {
-		t.Fatalf("SearchCheckpointed: %v (want the uncheckpointed fallback)", err)
+		t.Fatalf("SearchModelCheckpointed: %v (want the uncheckpointed fallback)", err)
 	}
 	if got != want {
 		t.Errorf("fallback diverged:\nSearch: %+v\nckpt:   %+v", want, got)
@@ -403,12 +436,12 @@ func TestCheckpointRejectsBitRot(t *testing.T) {
 	const L = 3
 	spec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Fast{}, L)
 	space := sim.SearchSpace{L: L}
-	want, err := Search(spec, space, Options{})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bitrot.ckpt")
-	if _, err := SearchCheckpointed(spec, space, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
+	if _, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -431,7 +464,7 @@ func TestCheckpointRejectsBitRot(t *testing.T) {
 	}
 
 	restored := -1
-	got, err := SearchCheckpointed(spec, space, Options{},
+	got, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{},
 		CheckpointConfig{Path: path, Shards: 4, Progress: func(completed, total int) {
 			if restored < 0 {
 				restored = completed
@@ -449,32 +482,73 @@ func TestCheckpointRejectsBitRot(t *testing.T) {
 }
 
 // TestCheckpointedErrorParity: invalid inputs must error out of
-// SearchCheckpointed exactly as they do out of Search.
+// SearchModelCheckpointed exactly as they do out of SearchModel.
 func TestCheckpointedErrorParity(t *testing.T) {
 	spec := specFor(graph.Grid(3, 3), explore.DFS{}, core.Cheap{}, 3)
 	cases := []struct {
 		name  string
 		space sim.SearchSpace
-		opts  Options
+		tier  Tier
 	}{
-		{"L-too-small", sim.SearchSpace{L: 1}, Options{}},
-		{"equal-starts", sim.SearchSpace{L: 3, StartPairs: [][2]int{{2, 2}}}, Options{}},
-		{"forced-ring-off-ring", sim.SearchSpace{L: 3}, Options{Tier: TierRing}},
+		{"L-too-small", sim.SearchSpace{L: 1}, TierAuto},
+		{"equal-starts", sim.SearchSpace{L: 3, StartPairs: [][2]int{{2, 2}}}, TierAuto},
+		{"forced-ring-off-ring", sim.SearchSpace{L: 3}, TierRing},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, wantErr := Search(spec, tc.space, tc.opts)
+			m := PaperModel{Spec: spec, Space: tc.space, Tier: tc.tier}
+			_, wantErr := SearchModel(m, Options{})
 			if wantErr == nil {
-				t.Fatal("Search unexpectedly succeeded")
+				t.Fatal("SearchModel unexpectedly succeeded")
 			}
-			_, gotErr := SearchCheckpointed(spec, tc.space, tc.opts, CheckpointConfig{})
+			_, gotErr := SearchModelCheckpointed(m, Options{}, CheckpointConfig{})
 			if gotErr == nil {
-				t.Fatal("SearchCheckpointed unexpectedly succeeded")
+				t.Fatal("SearchModelCheckpointed unexpectedly succeeded")
 			}
 			if gotErr.Error() != wantErr.Error() {
-				t.Errorf("error diverged:\nSearch:             %v\nSearchCheckpointed: %v", wantErr, gotErr)
+				t.Errorf("error diverged:\nSearchModel:             %v\nSearchModelCheckpointed: %v", wantErr, gotErr)
 			}
 		})
+	}
+}
+
+// TestShardErrorChoice: when several shards fail, the driver reports
+// the lowest failing shard's error — the serial scan's first error —
+// for every worker and shard count and every goroutine schedule. The
+// generic-tier grid search below fails to compile every label >= 3,
+// so every shard fails at its first such label; a driver that let the
+// first failure cancel lower-indexed siblings reported whichever shard
+// happened to fail first.
+func TestShardErrorChoice(t *testing.T) {
+	const L = 6
+	valid := core.Cheap{}
+	m := PaperModel{
+		Spec: Spec{Graph: graph.Grid(3, 3), Explorer: explore.DFS{}, ScheduleFor: func(l int) sim.Schedule {
+			if l >= 3 {
+				return sim.Schedule{sim.Segment(0)}
+			}
+			return valid.Schedule(l, core.Params{L: L})
+		}},
+		Space: sim.SearchSpace{L: L},
+		Tier:  TierGeneric,
+	}
+	_, serial := SearchModel(m, Options{Workers: 1})
+	if serial == nil {
+		t.Fatal("serial search unexpectedly succeeded")
+	}
+	want := serial.Error()
+	for round := 0; round < 200; round++ {
+		for _, workers := range []int{1, 2, 8} {
+			if _, err := SearchModel(m, Options{Workers: workers}); err == nil || err.Error() != want {
+				t.Fatalf("round %d workers=%d: SearchModel err = %v, want %s", round, workers, err, want)
+			}
+			for _, shards := range []int{1, 2, 32} {
+				_, err := SearchModelCheckpointed(m, Options{Workers: workers}, CheckpointConfig{Shards: shards})
+				if err == nil || err.Error() != want {
+					t.Fatalf("round %d workers=%d shards=%d: err = %v, want %s", round, workers, shards, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -490,12 +564,12 @@ func TestSearchCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Search(spec, space, Options{})
+	want, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	got, cached, err := SearchCached(store, spec, space, Options{})
+	got, cached, err := SearchModelCached(store, PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil || cached {
 		t.Fatalf("cold search: cached=%v err=%v", cached, err)
 	}
@@ -505,7 +579,7 @@ func TestSearchCached(t *testing.T) {
 
 	// Poison the store with a recognizable fake: a hit must return it
 	// verbatim, which proves the engine was not consulted.
-	fp, err := Fingerprint(spec, space, Options{})
+	fp, err := PaperModel{Spec: spec, Space: space}.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +587,7 @@ func TestSearchCached(t *testing.T) {
 	if err := store.Put(fp, fake); err != nil {
 		t.Fatal(err)
 	}
-	got, cached, err = SearchCached(store, spec, space, Options{})
+	got, cached, err = SearchModelCached(store, PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil || !cached {
 		t.Fatalf("warm search: cached=%v err=%v", cached, err)
 	}
@@ -521,7 +595,7 @@ func TestSearchCached(t *testing.T) {
 		t.Errorf("hit did not come from the store: %+v", got)
 	}
 
-	// Corrupt the record: the next SearchCached must silently recompute
+	// Corrupt the record: the next SearchModelCached must silently recompute
 	// the true result and heal the store.
 	entries, err := store.Index()
 	if err != nil {
@@ -534,7 +608,7 @@ func TestSearchCached(t *testing.T) {
 	if err := os.WriteFile(recPath, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, cached, err = SearchCached(store, spec, space, Options{})
+	got, cached, err = SearchModelCached(store, PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil || cached {
 		t.Fatalf("post-corruption search: cached=%v err=%v", cached, err)
 	}
@@ -545,8 +619,8 @@ func TestSearchCached(t *testing.T) {
 		t.Errorf("store did not heal: ok=%v %+v", ok, healed)
 	}
 
-	// nil store and unfingerprintable searches fall through to Search.
-	got, cached, err = SearchCached(nil, spec, space, Options{})
+	// nil store and unfingerprintable searches fall through to SearchModel.
+	got, cached, err = SearchModelCached(nil, PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil || cached || got != want {
 		t.Errorf("nil store: got=%+v cached=%v err=%v", got, cached, err)
 	}
@@ -554,19 +628,19 @@ func TestSearchCached(t *testing.T) {
 	// A forced-but-inapplicable tier must error even when the store is
 	// warm for the same fingerprint (the address excludes the tier, so
 	// unless Fingerprint rejects the forcing a hit would mask the error
-	// a cold Search returns).
+	// a cold SearchModel returns).
 	offRing := specFor(graph.Path(5), explore.DFS{}, core.Cheap{}, L)
-	if _, _, err := SearchCached(store, offRing, space, Options{}); err != nil {
+	if _, _, err := SearchModelCached(store, PaperModel{Spec: offRing, Space: space}, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, cached, err := SearchCached(store, offRing, space, Options{Tier: TierRing}); err == nil || cached {
+	if _, cached, err := SearchModelCached(store, PaperModel{Spec: offRing, Space: space, Tier: TierRing}, Options{}); err == nil || cached {
 		t.Errorf("forced ring off the ring with a warm store: cached=%v err=%v, want the ring-eligibility error", cached, err)
 	}
-	if _, cached, err := SearchCached(store, offRing, space, Options{Tier: Tier(99)}); err == nil || cached {
+	if _, cached, err := SearchModelCached(store, PaperModel{Spec: offRing, Space: space, Tier: Tier(99)}, Options{}); err == nil || cached {
 		t.Errorf("unknown tier with a warm store: cached=%v err=%v, want an error", cached, err)
 	}
 	badSpec := specFor(graph.Path(4), explore.Eulerian{}, core.Cheap{}, L)
-	if _, cached, err := SearchCached(store, badSpec, space, Options{}); err == nil || cached {
+	if _, cached, err := SearchModelCached(store, PaperModel{Spec: badSpec, Space: space}, Options{}); err == nil || cached {
 		t.Errorf("unfingerprintable search: cached=%v err=%v, want engine error", cached, err)
 	}
 }

@@ -1,24 +1,25 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
-	"rendezvous/internal/ringsim"
 	"rendezvous/internal/sim"
 )
 
 // TestCrossEngineSmallSpaces is the exhaustive cross-engine property
 // sweep: on every oriented ring with n <= 6 and every label space
-// L <= 5, the three executors — the generic trajectory scan
-// (sim.SearchWith), the hand-derived ring engine (ringsim.SearchWith)
-// and the mechanically derived meeting-table tier — must agree on the
-// complete WorstCase: witnesses, Runs, AllMet. Worker counts {1, 2, 8}
-// cover serial, partial and over-sharded execution; combined with the
-// CI -race run this is the concurrency test for the whole engine.
+// L <= 5, every tier the engine drives — the generic trajectory scan,
+// the hand-derived ring engine (ringsim) and the mechanically derived
+// meeting-table tiers — must agree with the serial sim.Search
+// reference on the complete WorstCase: witnesses, Runs, AllMet. Worker
+// counts {1, 2, 8} cover serial, partial and over-sharded execution;
+// combined with the CI -race run this is the concurrency test for the
+// whole engine.
 func TestCrossEngineSmallSpaces(t *testing.T) {
 	for n := 3; n <= 6; n++ {
 		g := graph.OrientedRing(n)
@@ -45,7 +46,7 @@ func TestCrossEngineSmallSpaces(t *testing.T) {
 					spec := Spec{Graph: g, Explorer: explore.OrientedRingSweep{}, ScheduleFor: scheduleFor}
 
 					// Serial generic scan is the reference.
-					ref, err := sim.SearchWith(sim.NewTrajectories(g, explore.OrientedRingSweep{}, scheduleFor), space, sim.SearchOptions{})
+					ref, err := sim.Search(context.Background(), sim.NewTrajectories(g, explore.OrientedRingSweep{}, scheduleFor), space)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -54,38 +55,13 @@ func TestCrossEngineSmallSpaces(t *testing.T) {
 					}
 
 					for _, workers := range []int{1, 2, 8} {
-						simOpts := sim.SearchOptions{Workers: workers}
-
-						got, err := sim.SearchWith(sim.NewTrajectories(g, explore.OrientedRingSweep{}, scheduleFor), space, simOpts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got != ref {
-							t.Errorf("sim workers=%d diverged: %+v vs %+v", workers, got, ref)
-						}
-
-						rs, err := ringsim.SearchWith(n, scheduleFor, pairs, delays, simOpts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if rs.Runs != ref.Runs || rs.AllMet != ref.AllMet ||
-							rs.Time != ref.Time.Value || rs.Cost != ref.Cost.Value {
-							t.Errorf("ringsim workers=%d diverged: %+v vs %+v", workers, rs, ref)
-						}
-						wantTimeWitness := [4]int{ref.Time.LabelA, ref.Time.LabelB, ref.Time.StartB, ref.Time.DelayB}
-						wantCostWitness := [4]int{ref.Cost.LabelA, ref.Cost.LabelB, ref.Cost.StartB, ref.Cost.DelayB}
-						if rs.TimeWitness != wantTimeWitness || rs.CostWitness != wantCostWitness {
-							t.Errorf("ringsim workers=%d witnesses diverged: %v/%v vs %v/%v",
-								workers, rs.TimeWitness, rs.CostWitness, wantTimeWitness, wantCostWitness)
-						}
-
-						for _, tier := range []Tier{TierTable, TierBatch, TierRing, TierAuto} {
-							got, err := Search(spec, space, Options{Workers: workers, Tier: tier})
+						for _, tier := range []Tier{TierGeneric, TierTable, TierBatch, TierRing, TierAuto} {
+							got, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: tier}, Options{Workers: workers})
 							if err != nil {
 								t.Fatal(err)
 							}
 							if got != ref {
-								t.Errorf("adversary tier=%v workers=%d diverged: %+v vs %+v", tier, workers, got, ref)
+								t.Errorf("tier=%v workers=%d diverged: %+v vs %+v", tier, workers, got, ref)
 							}
 						}
 					}

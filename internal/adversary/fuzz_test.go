@@ -60,7 +60,7 @@ func fuzzSpec(family, exb, algob, nb byte, L int) Spec {
 }
 
 // FuzzDispatchEquivalence asserts the engine's central guarantee under
-// random configuration spaces: adversary.Search output — witnesses,
+// random configuration spaces: SearchModel output — witnesses,
 // Runs, AllMet — is invariant under the forced dispatch tier and the
 // worker count. The generic trajectory executor is the reference; the
 // table tier (forced past its budget), the batch tier (forced past its
@@ -84,7 +84,7 @@ func FuzzDispatchEquivalence(f *testing.F) {
 		e := spec.Explorer.Duration(spec.Graph)
 		space := sim.SearchSpace{L: L, Delays: []int{int(d1) % (e + 2), int(d2) % (3 * e)}}
 
-		want, err := Search(spec, space, Options{Tier: TierGeneric})
+		want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func FuzzDispatchEquivalence(f *testing.F) {
 		}
 		for _, w := range []int{1, 2 + int(workers)%3} {
 			for _, tier := range tiers {
-				got, err := Search(spec, space, Options{Workers: w, Tier: tier})
+				got, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: tier}, Options{Workers: w})
 				if err != nil {
 					t.Fatalf("tier=%v workers=%d: %v", tier, w, err)
 				}
@@ -144,12 +144,12 @@ func FuzzBatchVsTable(f *testing.F) {
 			}
 		}
 
-		want, err := Search(spec, space, Options{Tier: TierTable})
+		want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierTable}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2 + int(workers)%3} {
-			got, err := Search(spec, space, Options{Workers: w, Tier: TierBatch})
+			got, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierBatch}, Options{Workers: w})
 			if err != nil {
 				t.Fatalf("batch workers=%d: %v", w, err)
 			}
@@ -183,14 +183,14 @@ func FuzzSymmetryEquivalence(f *testing.F) {
 		e := spec.Explorer.Duration(spec.Graph)
 		space := sim.SearchSpace{L: L, Delays: []int{int(d1) % (e + 2), int(d2) % (3 * e)}}
 
-		want, err := Search(spec, space, Options{Symmetry: SymmetryOff})
+		want, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: SymmetryOff}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		order := len(graph.Automorphisms(spec.Graph))
 		for _, w := range []int{1, 2 + int(workers)%3} {
 			for _, sym := range []Symmetry{SymmetryAuto, SymmetryForced} {
-				got, err := Search(spec, space, Options{Workers: w, Symmetry: sym})
+				got, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: sym}, Options{Workers: w})
 				if err != nil {
 					t.Fatalf("sym=%v workers=%d: %v", sym, w, err)
 				}

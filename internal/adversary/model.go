@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rendezvous/internal/model"
+	"rendezvous/internal/resultstore"
 	"rendezvous/internal/sim"
 )
 
@@ -11,12 +12,9 @@ import (
 // any implementation of the internal/model contract, and the paper's
 // own model — two agents on a fixed graph, synchronous rounds, a delay
 // adversary — is re-expressed here as PaperModel, the contract's first
-// implementation. Search and SearchCheckpointed are thin wrappers that
-// lower their (Spec, SearchSpace, Options) spelling onto PaperModel and
-// dispatch through the same model-generic path as any foreign model,
-// so the two spellings cannot diverge: bit-for-bit identity is by
-// construction, and pinned by the scenario equivalence matrix in the
-// tests.
+// implementation. Every search, the paper's included, enters through
+// the same model-generic entry points (SearchModel,
+// SearchModelCheckpointed, SearchModelCached, NewModelPlan).
 
 // PaperModel is the paper's rendezvous model as a pluggable
 // model.Model: the spec (graph, explorer, algorithm), the
@@ -24,30 +22,33 @@ import (
 // the forced tier, the table memory budget, and the symmetry mode
 // (the one knob that also contributes to the fingerprint, because it
 // changes Runs). Workers and contexts are execution options, not model
-// state; they are supplied at search time.
+// state; they are supplied at search time through Options.
 //
 // PaperModel is the only model with fast-tier accelerations: its
 // compiler runs the engine's tier dispatch (ring, batch, table,
-// generic with degenerate-space fallbacks), exactly as Search always
-// has.
+// generic with degenerate-space fallbacks).
 type PaperModel struct {
 	Spec  Spec
 	Space sim.SearchSpace
-	// Tier, TableBudget and Symmetry have Options' semantics.
-	Tier        Tier
+	// Tier forces an execution tier; TierAuto (the zero value) picks
+	// the fastest eligible one. See Tier for the forcing semantics.
+	Tier Tier
+	// TableBudget caps, in bytes, the memory TierAuto may spend on
+	// meeting tables before falling back to the generic executor.
+	// 0 means DefaultTableBudget; negative disables the table tiers
+	// under TierAuto. A forced TierTable or TierBatch ignores it.
 	TableBudget int64
-	Symmetry    Symmetry
+	// Symmetry selects the start-pair orbit reduction applied before
+	// tier dispatch. The zero value (SymmetryAuto) reduces whenever the
+	// graph's automorphism group permits; see Symmetry.
+	Symmetry Symmetry
 }
 
-// paperModel lowers the classic (spec, space, opts) spelling onto the
-// model contract.
-func paperModel(spec Spec, space sim.SearchSpace, opts Options) PaperModel {
-	return PaperModel{Spec: spec, Space: space, Tier: opts.Tier, TableBudget: opts.TableBudget, Symmetry: opts.Symmetry}
-}
-
-// options reconstructs the compilation-relevant Options.
-func (m PaperModel) options() Options {
-	return Options{Tier: m.Tier, TableBudget: m.TableBudget, Symmetry: m.Symmetry}
+func (m PaperModel) tableBudget() int64 {
+	if m.TableBudget == 0 {
+		return DefaultTableBudget
+	}
+	return m.TableBudget
 }
 
 // Name implements model.Model.
@@ -74,7 +75,7 @@ func (m PaperModel) Units() (int, error) {
 // implementation (newSearchPlan), lowered to the contract's shard
 // form.
 func (m PaperModel) Compile() (*model.Compiled, error) {
-	plan, err := newSearchPlan(m.Spec, m.Space, m.options())
+	plan, err := newSearchPlan(m)
 	if err != nil {
 		return nil, err
 	}
@@ -87,12 +88,50 @@ func (m PaperModel) Compile() (*model.Compiled, error) {
 	}, nil
 }
 
-// Fingerprint implements model.Model by delegating to the engine's
-// classic fingerprint (the resultstore domain), so a scenario-driven
-// paper search and its (Spec, Options) spelling share one cache
-// address.
+// Fingerprint implements model.Model: the canonical content address of
+// the search in the resultstore domain — the key under which its
+// WorstCase is cached. Requests that denote the same computation
+// fingerprint identically however they are spelled (see resultstore's
+// canonicalization rules), and output-invariant knobs (Tier,
+// TableBudget) do not contribute: only the symmetry mode does, because
+// it changes Runs.
+//
+// A forced tier the spec cannot run is an error here, although the
+// tier never enters the address: every store front (SearchModelCached,
+// the daemon, the bench harness) fingerprints before it consults its
+// store, so this is what keeps a hit on the same search from masking
+// the forcing error a cold run returns.
 func (m PaperModel) Fingerprint() (string, error) {
-	return Fingerprint(m.Spec, m.Space, m.options())
+	if err := m.checkTier(); err != nil {
+		return "", err
+	}
+	return resultstore.Fingerprint(resultstore.Key{
+		Graph:       m.Spec.Graph,
+		Explorer:    m.Spec.Explorer,
+		ScheduleFor: m.Spec.ScheduleFor,
+		Space:       m.Space,
+		Symmetry:    m.Symmetry.String(),
+	})
+}
+
+// checkTier reports the dispatch errors that do not depend on the
+// search space: an unknown forced tier, and TierRing forced on a spec
+// that is not ring-eligible. Compile and Fingerprint share it. Every
+// other cold-search error either fails Fingerprint too (invalid space,
+// explorer rejecting the graph) or recurs on recompute (per-execution
+// errors are never stored), so no store hit can mask one.
+func (m PaperModel) checkTier() error {
+	switch m.Tier {
+	case TierAuto, TierGeneric, TierTable, TierBatch:
+		return nil
+	case TierRing:
+		if !m.Spec.FastPathEligible() {
+			return fmt.Errorf("adversary: TierRing forced but the spec is not ring-eligible (graph %v, explorer %s)", m.Spec.Graph, m.Spec.Explorer.Name())
+		}
+		return nil
+	default:
+		return fmt.Errorf("adversary: unknown tier %v", m.Tier)
+	}
 }
 
 // planFromModel lowers a compiled model onto the engine's internal
@@ -118,19 +157,23 @@ func planFromModel(m model.Model) (*searchPlan, error) {
 	}, nil
 }
 
-// SearchModel runs the adversary over any model: the model's compiled
-// sweep driven through the engine's shared fan-out scaffolding —
-// worker-count shards of the label-pair axis, folded in shard order
-// with the strictly-greater merge, so output is bit-for-bit identical
-// for every worker count. Only the execution options (Workers,
-// Context) are read from opts: tiering, symmetry and budgets are the
-// model's own business (PaperModel carries them as fields).
+// SearchModel runs the adversary over any model and returns the worst
+// time and cost found. It is the engine's one fan-out driver with no
+// checkpoint file and one shard per resolved worker — contiguous
+// slices of the label-pair axis, folded in shard order with the
+// strictly-greater merge — so output is bit-for-bit identical for
+// every worker count: witnesses are the first configurations in
+// canonical enumeration order (labelPairs × startPairs × delays)
+// achieving the maxima, and an error is the serial scan's first. Only
+// the execution options (Workers, Context) come from opts: tiering,
+// symmetry and budgets are the model's own business (PaperModel
+// carries them as fields).
 func SearchModel(m model.Model, opts Options) (sim.WorstCase, error) {
-	plan, err := planFromModel(m)
+	p, err := planFromModel(m)
 	if err != nil {
 		return sim.WorstCase{}, err
 	}
-	return sim.Sharded(opts.simOptions(), plan.labelPairs, plan.sweep, (*sim.WorstCase).Merge)
+	return runPlan(m, &Plan{plan: p, shards: opts.resolveWorkers(len(p.labelPairs))}, opts, CheckpointConfig{})
 }
 
 // NewModelPlan compiles any model and fixes its shard decomposition.

@@ -1,7 +1,7 @@
 package adversary
 
 // This file is the engine's observability seam. A SearchObserver is a
-// struct of optional callbacks SearchCheckpointed fires at its stage
+// struct of optional callbacks the shard driver fires at its stage
 // boundaries — plan compilation, shard execution, checkpoint appends,
 // merge — so callers (the serve layer's tracing) can attribute time to
 // engine phases without the engine importing a tracing package or
@@ -38,7 +38,8 @@ func (p *Plan) Info() PlanInfo {
 	}
 }
 
-// SearchObserver receives SearchCheckpointed's stage-boundary events.
+// SearchObserver receives SearchModelCheckpointed's stage-boundary
+// events.
 // The zero value observes nothing.
 type SearchObserver struct {
 	// PlanReady fires once, after plan compilation succeeds.

@@ -19,10 +19,10 @@ import (
 func TestSearchObserverEvents(t *testing.T) {
 	const L = 3
 	spec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Fast{}, L)
-	space := sim.SearchSpace{L: L, Delays: []int{0, 1}}
+	m := PaperModel{Spec: spec, Space: sim.SearchSpace{L: L, Delays: []int{0, 1}}}
 	opts := Options{Workers: 2}
 
-	want, err := SearchCheckpointed(spec, space, opts, CheckpointConfig{Shards: 4})
+	want, err := SearchModelCheckpointed(m, opts, CheckpointConfig{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSearchObserverEvents(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	got, err := SearchCheckpointed(spec, space, opts, CheckpointConfig{Shards: 4, Path: path, Observer: obs})
+	got, err := SearchModelCheckpointed(m, opts, CheckpointConfig{Shards: 4, Path: path, Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSearchObserverEvents(t *testing.T) {
 	started = map[int]int{}
 	restored = -1
 	mu.Unlock()
-	if _, err := SearchCheckpointed(spec, space, opts, CheckpointConfig{Shards: 4, Path: path, Observer: obs}); err != nil {
+	if _, err := SearchModelCheckpointed(m, opts, CheckpointConfig{Shards: 4, Path: path, Observer: obs}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

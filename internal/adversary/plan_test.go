@@ -23,19 +23,19 @@ func planSpecs() map[string]Spec {
 }
 
 // TestPlanMatchesSearch: running every shard of a Plan (in any split)
-// and folding with MergeShards reproduces Search bit for bit — the
+// and folding with MergeShards reproduces SearchModel bit for bit — the
 // determinism contract the cluster dispatcher distributes on.
 func TestPlanMatchesSearch(t *testing.T) {
 	space := sim.SearchSpace{L: 4, Delays: []int{0, 1}}
 	for name, spec := range planSpecs() {
 		for _, sym := range []Symmetry{SymmetryAuto, SymmetryOff} {
-			opts := Options{Symmetry: sym}
-			want, err := Search(spec, space, opts)
+			m := PaperModel{Spec: spec, Space: space, Symmetry: sym}
+			want, err := SearchModel(m, Options{})
 			if err != nil {
-				t.Fatalf("%s/%v: Search: %v", name, sym, err)
+				t.Fatalf("%s/%v: SearchModel: %v", name, sym, err)
 			}
 			for _, shards := range []int{1, 3, 7, 1000} {
-				plan, err := NewModelPlan(PaperModel{Spec: spec, Space: space, Symmetry: sym}, shards)
+				plan, err := NewModelPlan(m, shards)
 				if err != nil {
 					t.Fatalf("%s/%v/%d: NewModelPlan: %v", name, sym, shards, err)
 				}
@@ -48,7 +48,7 @@ func TestPlanMatchesSearch(t *testing.T) {
 					results[i] = wc
 				}
 				if got := MergeShards(results); got != want {
-					t.Errorf("%s/%v/%d shards: merged %+v != Search %+v", name, sym, shards, got, want)
+					t.Errorf("%s/%v/%d shards: merged %+v != SearchModel %+v", name, sym, shards, got, want)
 				}
 			}
 		}
@@ -98,7 +98,7 @@ func TestRunShardBounds(t *testing.T) {
 }
 
 // TestPlanErrors: an invalid space and a forced-inapplicable tier fail
-// at NewModelPlan, exactly as they fail at Search.
+// at NewModelPlan, exactly as they fail at SearchModel.
 func TestPlanErrors(t *testing.T) {
 	spec := planSpecs()["grid"]
 	if _, err := NewModelPlan(PaperModel{Spec: spec, Space: sim.SearchSpace{L: 1}}, 0); err == nil {

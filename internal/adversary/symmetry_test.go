@@ -54,7 +54,7 @@ func TestSymmetryEquivalenceSweep(t *testing.T) {
 			for _, algo := range []core.Algorithm{core.Cheap{}, core.Fast{}} {
 				spec := specFor(f.g, f.ex, algo, L)
 				space := sim.SearchSpace{L: L, Delays: delays}
-				unreduced, err := Search(spec, space, Options{Symmetry: SymmetryOff})
+				unreduced, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: SymmetryOff}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +65,7 @@ func TestSymmetryEquivalenceSweep(t *testing.T) {
 				}
 				for _, workers := range []int{1, 8} {
 					for _, sym := range []Symmetry{SymmetryAuto, SymmetryForced} {
-						got, err := Search(spec, space, Options{Workers: workers, Symmetry: sym})
+						got, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: sym}, Options{Workers: workers})
 						if err != nil {
 							t.Fatalf("%s workers=%d sym=%v: %v", algo.Name(), workers, sym, err)
 						}
@@ -100,11 +100,11 @@ func TestSymmetryReductionRuns(t *testing.T) {
 	const L = 4
 	spec := specFor(graph.Torus(4, 4), explore.DFS{}, core.Fast{}, L)
 	space := sim.SearchSpace{L: L, Delays: []int{0, 1}}
-	off, err := Search(spec, space, Options{Symmetry: SymmetryOff})
+	off, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: SymmetryOff}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Search(spec, space, Options{})
+	auto, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,26 +131,26 @@ func TestSymmetryDegenerateSpaces(t *testing.T) {
 	const n, L = 10, 3
 	spec := specFor(graph.OrientedRing(n), explore.OrientedRingSweep{}, core.Cheap{}, L)
 	outOfRange := sim.SearchSpace{L: L, StartPairs: [][2]int{{0, n}}}
-	if _, err := Search(spec, outOfRange, Options{Symmetry: SymmetryForced}); err == nil {
+	if _, err := SearchModel(PaperModel{Spec: spec, Space: outOfRange, Symmetry: SymmetryForced}, Options{}); err == nil {
 		t.Error("SymmetryForced with out-of-range starts: want error")
 	}
-	autoErr := func(opts Options) string {
-		_, err := Search(spec, outOfRange, opts)
+	autoErr := func(sym Symmetry) string {
+		_, err := SearchModel(PaperModel{Spec: spec, Space: outOfRange, Symmetry: sym}, Options{})
 		if err == nil {
-			t.Fatalf("opts %+v: out-of-range start should fail in the generic executor", opts)
+			t.Fatalf("sym=%v: out-of-range start should fail in the generic executor", sym)
 		}
 		return err.Error()
 	}
-	if a, o := autoErr(Options{}), autoErr(Options{Symmetry: SymmetryOff}); a != o {
+	if a, o := autoErr(SymmetryAuto), autoErr(SymmetryOff); a != o {
 		t.Errorf("auto vs off error diverged on out-of-range starts: %q vs %q", a, o)
 	}
 
 	negDelays := sim.SearchSpace{L: L, Delays: []int{-1, 0}}
-	off, err := Search(spec, negDelays, Options{Symmetry: SymmetryOff})
+	off, err := SearchModel(PaperModel{Spec: spec, Space: negDelays, Symmetry: SymmetryOff}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Search(spec, negDelays, Options{})
+	auto, err := SearchModel(PaperModel{Spec: spec, Space: negDelays}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestSymmetryDegenerateSpaces(t *testing.T) {
 func TestSymmetryForcedOnAsymmetricGraph(t *testing.T) {
 	spec := specFor(graph.Grid(3, 3), explore.DFS{}, core.Cheap{}, 3)
 	space := sim.SearchSpace{L: 3, Delays: []int{0, 2}}
-	off, err := Search(spec, space, Options{Symmetry: SymmetryOff})
+	off, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: SymmetryOff}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := Search(spec, space, Options{Symmetry: SymmetryForced})
+	forced, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: SymmetryForced}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +188,13 @@ func TestSymmetryComposesWithForcedTiers(t *testing.T) {
 	const n, L = 8, 3
 	spec := specFor(graph.OrientedRing(n), explore.OrientedRingSweep{}, core.Fast{}, L)
 	space := sim.SearchSpace{L: L, Delays: []int{0, 1, n - 1}}
-	off, err := Search(spec, space, Options{Symmetry: SymmetryOff, Tier: TierGeneric})
+	off, err := SearchModel(PaperModel{Spec: spec, Space: space, Symmetry: SymmetryOff, Tier: TierGeneric}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tier := range []Tier{TierGeneric, TierTable, TierBatch, TierRing, TierAuto} {
 		for _, workers := range []int{1, 4} {
-			got, err := Search(spec, space, Options{Tier: tier, Workers: workers})
+			got, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: tier}, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("tier=%v workers=%d: %v", tier, workers, err)
 			}
@@ -218,11 +218,11 @@ func TestSymmetryExplicitSubsetReduction(t *testing.T) {
 
 	// (1,3) and (4,0) share gap 2; (0,5) is alone in gap 5.
 	overlapping := sim.SearchSpace{L: L, StartPairs: [][2]int{{1, 3}, {4, 0}, {0, 5}}}
-	off, err := Search(spec, overlapping, Options{Symmetry: SymmetryOff})
+	off, err := SearchModel(PaperModel{Spec: spec, Space: overlapping, Symmetry: SymmetryOff}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Search(spec, overlapping, Options{})
+	auto, err := SearchModel(PaperModel{Spec: spec, Space: overlapping}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestSymmetryExplicitSubsetReduction(t *testing.T) {
 	}
 
 	offsets := sim.SearchSpace{L: L, StartPairs: [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}}
-	offO, err := Search(spec, offsets, Options{Symmetry: SymmetryOff})
+	offO, err := SearchModel(PaperModel{Spec: spec, Space: offsets, Symmetry: SymmetryOff}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	autoO, err := Search(spec, offsets, Options{})
+	autoO, err := SearchModel(PaperModel{Spec: spec, Space: offsets}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,15 @@ func (o Options) scenarioOptions() scenario.Options {
 }
 
 // search executes one engine search of any model under the harness's
-// persistence options: a store hit short-circuits the engine, a
-// checkpoint directory makes the search resumable, and a plain run
-// falls through to adversary.SearchModel. Results are identical on
-// every path. It is the one store/checkpoint front of the package:
-// the experiments and RunScenario both search through it.
+// persistence options: a store hit short-circuits the engine and a
+// checkpoint directory makes the search resumable. Results are
+// identical on every path. It is the one store/checkpoint front of the
+// package: the experiments and RunScenario both search through it.
 func (o Options) search(m model.Model) (sim.WorstCase, error) {
 	opts := adversary.Options{Workers: o.Workers, Context: o.Context}
-	if o.Store == nil && o.CheckpointDir == "" {
-		return adversary.SearchModel(m, opts)
+	if o.CheckpointDir == "" {
+		wc, _, err := adversary.SearchModelCached(o.Store, m, opts)
+		return wc, err
 	}
 	fp, err := m.Fingerprint()
 	if err != nil {
@@ -44,24 +44,16 @@ func (o Options) search(m model.Model) (sim.WorstCase, error) {
 			return wc, nil
 		}
 	}
-	var wc sim.WorstCase
-	if o.CheckpointDir == "" {
-		wc, err = adversary.SearchModel(m, opts)
-	} else {
-		ckpt := filepath.Join(o.CheckpointDir, fp+".ckpt")
-		wc, err = adversary.SearchModelCheckpointed(m, opts,
-			adversary.CheckpointConfig{Path: ckpt, Fingerprint: fp})
-		if err == nil {
-			// The checkpoint is crash recovery, not a cache (that is
-			// the store's job): once the search completed, drop it so
-			// the resume directory does not accumulate one stale file
-			// per configuration.
-			os.Remove(ckpt)
-		}
-	}
+	ckpt := filepath.Join(o.CheckpointDir, fp+".ckpt")
+	wc, err := adversary.SearchModelCheckpointed(m, opts,
+		adversary.CheckpointConfig{Path: ckpt, Fingerprint: fp})
 	if err != nil {
 		return sim.WorstCase{}, err
 	}
+	// The checkpoint is crash recovery, not a cache (that is the
+	// store's job): once the search completed, drop it so the resume
+	// directory does not accumulate one stale file per configuration.
+	os.Remove(ckpt)
 	if o.Store != nil {
 		_ = o.Store.Put(fp, wc) // best-effort: a miss next time recomputes
 	}

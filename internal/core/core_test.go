@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -129,7 +130,7 @@ func correctnessSweep(t *testing.T, g *graph.Graph, ex explore.Explorer, algo Al
 	t.Helper()
 	params := Params{L: L}
 	tc := sim.NewTrajectories(g, ex, func(l int) sim.Schedule { return algo.Schedule(l, params) })
-	wc, err := sim.Search(tc, sim.SearchSpace{L: L, Delays: delays})
+	wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{L: L, Delays: delays})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestCheapPerLabelTimeBound(t *testing.T) {
 			if a == b {
 				continue
 			}
-			wc, err := sim.Search(tc, sim.SearchSpace{
+			wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{
 				LabelPairs: [][2]int{{a, b}},
 				Delays:     []int{0, 1, e / 2, e},
 			})
@@ -218,7 +219,7 @@ func TestCheapSimultaneousExactCost(t *testing.T) {
 			e := tg.ex.Duration(tg.g)
 			params := Params{L: L}
 			tc := sim.NewTrajectories(tg.g, tg.ex, func(l int) sim.Schedule { return CheapSimultaneous{}.Schedule(l, params) })
-			wc, err := sim.Search(tc, sim.SearchSpace{L: L}) // delays default {0}
+			wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{L: L}) // delays default {0}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +255,7 @@ func TestCheapSimultaneousPerLabelTime(t *testing.T) {
 			if a == b {
 				continue
 			}
-			wc, err := sim.Search(tc, sim.SearchSpace{LabelPairs: [][2]int{{a, b}}})
+			wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{LabelPairs: [][2]int{{a, b}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +298,7 @@ func TestFastSharpPerPairBound(t *testing.T) {
 			if a == b {
 				continue
 			}
-			wc, err := sim.Search(tc, sim.SearchSpace{
+			wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{
 				LabelPairs: [][2]int{{a, b}},
 				Delays:     []int{0, 1, e},
 			})
@@ -341,7 +342,7 @@ func TestWaitForMateIsTheExplorationBaseline(t *testing.T) {
 	e := ex.Duration(g)
 	params := Params{L: 2}
 	tc := sim.NewTrajectories(g, ex, func(l int) sim.Schedule { return WaitForMate{}.Schedule(l, params) })
-	wc, err := sim.Search(tc, sim.SearchSpace{LabelPairs: [][2]int{{1, 2}, {2, 1}}})
+	wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{LabelPairs: [][2]int{{1, 2}, {2, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestExploreForeverFailsOnRing(t *testing.T) {
 	g := graph.OrientedRing(6)
 	params := Params{L: 2}
 	tc := sim.NewTrajectories(g, explore.OrientedRingSweep{}, func(l int) sim.Schedule { return ExploreForever{}.Schedule(l, params) })
-	wc, err := sim.Search(tc, sim.SearchSpace{L: 2})
+	wc, err := sim.Search(context.Background(), tc, sim.SearchSpace{L: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,11 +53,12 @@ func TestDynamicNoOpPhasesMatchStatic(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sched := scheduleFor(core.Cheap{}, tc.space.L)
-			static, err := adversary.Search(
-				adversary.Spec{Graph: tc.g, Explorer: explore.DFS{}, ScheduleFor: sched},
-				tc.space,
-				adversary.Options{Tier: adversary.TierGeneric, Symmetry: adversary.SymmetryOff},
-			)
+			static, err := adversary.SearchModel(adversary.PaperModel{
+				Spec:     adversary.Spec{Graph: tc.g, Explorer: explore.DFS{}, ScheduleFor: sched},
+				Space:    tc.space,
+				Tier:     adversary.TierGeneric,
+				Symmetry: adversary.SymmetryOff,
+			}, adversary.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,11 +345,11 @@ func TestDynamicFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paperFP, err := adversary.Fingerprint(
-		adversary.Spec{Graph: g, Explorer: explore.DFS{}, ScheduleFor: sched},
-		space,
-		adversary.Options{Symmetry: adversary.SymmetryOff},
-	)
+	paperFP, err := adversary.PaperModel{
+		Spec:     adversary.Spec{Graph: g, Explorer: explore.DFS{}, ScheduleFor: sched},
+		Space:    space,
+		Symmetry: adversary.SymmetryOff,
+	}.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}

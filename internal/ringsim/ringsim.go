@@ -12,7 +12,8 @@
 // independent of E — which makes exhaustive adversarial sweeps feasible
 // at label-space sizes far beyond what the general simulator can touch
 // (the experiment on the paper's open problem, E14, uses it at
-// L = 4096).
+// L = 4096). Sweeps run through the adversary engine, whose ring tier
+// (adversary.TierRing) calls Run once per configuration.
 //
 // Results are bit-for-bit equal to sim.Run with
 // explore.OrientedRingSweep; the test suite checks the equivalence
@@ -20,9 +21,7 @@
 package ringsim
 
 import (
-	"context"
 	"errors"
-	"fmt"
 
 	"rendezvous/internal/sim"
 )
@@ -188,95 +187,4 @@ func costUntil(a Agent, e, t int) int {
 		}
 	}
 	return cost
-}
-
-// WorstCase aggregates an adversarial sweep.
-type WorstCase struct {
-	Time, Cost int
-	// TimeWitness and CostWitness record (labelA, labelB, offset, delay).
-	TimeWitness, CostWitness [4]int
-	Runs                     int
-	AllMet                   bool
-}
-
-// merge folds the next shard's results into wc; shards are folded in
-// canonical pair order with a strictly-greater comparison, so the
-// surviving witnesses match the serial sweep bit for bit.
-func (wc *WorstCase) merge(next WorstCase) {
-	if next.Time > wc.Time {
-		wc.Time = next.Time
-		wc.TimeWitness = next.TimeWitness
-	}
-	if next.Cost > wc.Cost {
-		wc.Cost = next.Cost
-		wc.CostWitness = next.CostWitness
-	}
-	wc.Runs += next.Runs
-	wc.AllMet = wc.AllMet && next.AllMet
-}
-
-// searchShard sweeps one contiguous slice of label pairs serially, with
-// its own private schedule cache. The context is checked once per pair.
-func searchShard(ctx context.Context, n int, scheduleFor func(label int) sim.Schedule, pairs [][2]int, delays []int) (WorstCase, error) {
-	scheds := make(map[int]sim.Schedule)
-	get := func(l int) sim.Schedule {
-		s, ok := scheds[l]
-		if !ok {
-			s = scheduleFor(l)
-			scheds[l] = s
-		}
-		return s
-	}
-	wc := WorstCase{AllMet: true}
-	for _, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			return WorstCase{}, err
-		}
-		sa, sb := get(p[0]), get(p[1])
-		for off := 1; off < n; off++ {
-			for _, d := range delays {
-				res, err := Run(n, Agent{Schedule: sa, Start: 0, Wake: 1}, Agent{Schedule: sb, Start: off, Wake: 1 + d})
-				if err != nil {
-					return WorstCase{}, fmt.Errorf("ringsim: labels %v offset %d delay %d: %w", p, off, d, err)
-				}
-				wc.Runs++
-				if !res.Met {
-					wc.AllMet = false
-					continue
-				}
-				if res.Time() > wc.Time {
-					wc.Time = res.Time()
-					wc.TimeWitness = [4]int{p[0], p[1], off, d}
-				}
-				if res.Cost() > wc.Cost {
-					wc.Cost = res.Cost()
-					wc.CostWitness = [4]int{p[0], p[1], off, d}
-				}
-			}
-		}
-	}
-	return wc, nil
-}
-
-// Search runs the adversary over label pairs × all non-zero offsets ×
-// delays, with schedules supplied per label. It mirrors sim.Search but
-// runs in O(segments) per execution. It is SearchWith with zero options
-// (serial).
-func Search(n int, scheduleFor func(label int) sim.Schedule, pairs [][2]int, delays []int) (WorstCase, error) {
-	return SearchWith(n, scheduleFor, pairs, delays, sim.SearchOptions{})
-}
-
-// SearchWith is Search with execution options: opts.Workers shards the
-// label pairs across goroutines (each with a private schedule cache) and
-// opts.Context cancels between pairs. Output is bit-for-bit identical
-// for every worker count. With Workers > 1, scheduleFor is called
-// concurrently from every worker and must be a deterministic function
-// safe for concurrent use.
-func SearchWith(n int, scheduleFor func(label int) sim.Schedule, pairs [][2]int, delays []int, opts sim.SearchOptions) (WorstCase, error) {
-	if len(delays) == 0 {
-		delays = []int{0}
-	}
-	return sim.Sharded(opts, pairs, func(ctx context.Context, shard [][2]int) (WorstCase, error) {
-		return searchShard(ctx, n, scheduleFor, shard, delays)
-	}, (*WorstCase).merge)
 }

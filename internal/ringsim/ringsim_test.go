@@ -1,7 +1,6 @@
 package ringsim
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,131 +124,5 @@ func TestNeverMeetingLockstep(t *testing.T) {
 	}
 	if res.CostA != 18 || res.CostB != 18 {
 		t.Errorf("costs = (%d,%d), want (18,18)", res.CostA, res.CostB)
-	}
-}
-
-func TestSearchMatchesSimSearch(t *testing.T) {
-	const n, L = 12, 6
-	params := core.Params{L: L}
-	scheduleFor := func(l int) sim.Schedule { return core.Fast{}.Schedule(l, params) }
-
-	var pairs [][2]int
-	for a := 1; a <= L; a++ {
-		for b := 1; b <= L; b++ {
-			if a != b {
-				pairs = append(pairs, [2]int{a, b})
-			}
-		}
-	}
-	delays := []int{0, 3, n - 1}
-
-	fast, err := Search(n, scheduleFor, pairs, delays)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tc := sim.NewTrajectories(graph.OrientedRing(n), explore.OrientedRingSweep{}, scheduleFor)
-	var offsets [][2]int
-	for d := 1; d < n; d++ {
-		offsets = append(offsets, [2]int{0, d})
-	}
-	slow, err := sim.Search(tc, sim.SearchSpace{LabelPairs: pairs, StartPairs: offsets, Delays: delays})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fast.AllMet != slow.AllMet {
-		t.Errorf("AllMet: ringsim %v, sim %v", fast.AllMet, slow.AllMet)
-	}
-	if fast.Time != slow.Time.Value {
-		t.Errorf("worst time: ringsim %d, sim %d", fast.Time, slow.Time.Value)
-	}
-	if fast.Cost != slow.Cost.Value {
-		t.Errorf("worst cost: ringsim %d, sim %d", fast.Cost, slow.Cost.Value)
-	}
-	if fast.Runs != slow.Runs {
-		t.Errorf("runs: ringsim %d, sim %d", fast.Runs, slow.Runs)
-	}
-}
-
-func TestSearchDefaultDelay(t *testing.T) {
-	params := core.Params{L: 3}
-	wc, err := Search(8, func(l int) sim.Schedule { return core.CheapSimultaneous{}.Schedule(l, params) },
-		[][2]int{{1, 2}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wc.Runs != 7 {
-		t.Errorf("Runs = %d, want 7 (offsets only)", wc.Runs)
-	}
-	if !wc.AllMet {
-		t.Error("expected all met")
-	}
-}
-
-func TestLargeLabelSpaceScales(t *testing.T) {
-	// The point of ringsim: L = 4096 sweeps finish quickly.
-	const n, L = 24, 4096
-	params := core.Params{L: L}
-	algo := core.NewFastWithRelabeling(3)
-	pairs := [][2]int{{1, 2}, {L - 1, L}, {L / 2, L/2 + 1}, {17, 4001}}
-	wc, err := Search(n, func(l int) sim.Schedule { return algo.Schedule(l, params) }, pairs, []int{0, 1, n - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wc.AllMet {
-		t.Fatal("executions failed to meet")
-	}
-	e := n - 1
-	if wc.Time > core.RelabelingTimeBound(e, L, 3) {
-		t.Errorf("worst time %d exceeds (4t+5)E = %d", wc.Time, core.RelabelingTimeBound(e, L, 3))
-	}
-	if wc.Cost > core.RelabelingCostSafe(e, 3) {
-		t.Errorf("worst cost %d exceeds (4w+2)E = %d", wc.Cost, core.RelabelingCostSafe(e, 3))
-	}
-}
-
-// TestSearchWithWorkerEquivalence: the sharded sweep returns the
-// identical WorstCase — including witnesses — for every worker count.
-func TestSearchWithWorkerEquivalence(t *testing.T) {
-	const n, L = 14, 8
-	params := core.Params{L: L}
-	scheduleFor := func(l int) sim.Schedule { return core.Fast{}.Schedule(l, params) }
-	var pairs [][2]int
-	for a := 1; a <= L; a++ {
-		for b := 1; b <= L; b++ {
-			if a != b {
-				pairs = append(pairs, [2]int{a, b})
-			}
-		}
-	}
-	delays := []int{0, 1, n - 1}
-	want, err := Search(n, scheduleFor, pairs, delays)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 7, 100, -1} {
-		got, err := SearchWith(n, scheduleFor, pairs, delays, sim.SearchOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("workers=%d diverged:\nserial:   %+v\nparallel: %+v", workers, got, want)
-		}
-	}
-}
-
-// TestSearchWithCancellation: a cancelled context aborts the sweep.
-func TestSearchWithCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	params := core.Params{L: 4}
-	scheduleFor := func(l int) sim.Schedule { return core.Cheap{}.Schedule(l, params) }
-	pairs := [][2]int{{1, 2}, {2, 1}, {3, 4}}
-	for _, workers := range []int{1, 3} {
-		_, err := SearchWith(10, scheduleFor, pairs, nil, sim.SearchOptions{Workers: workers, Context: ctx})
-		if err != context.Canceled {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
 	}
 }

@@ -119,7 +119,7 @@ const (
 // Search is one declarative search: a model, its parameters, and a
 // configuration space. The zero value of every optional field selects
 // the engine default (exhaustive enumeration, automatic tier and
-// symmetry), exactly as in sim.SearchSpace and adversary.Options.
+// symmetry), exactly as in sim.SearchSpace and adversary.PaperModel.
 type Search struct {
 	// Version is the format version. Required (== 1) in a standalone
 	// document; inside a File it is inherited and must be omitted.

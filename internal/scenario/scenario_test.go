@@ -155,7 +155,7 @@ func TestParseFileRejections(t *testing.T) {
 
 // TestScenarioMatchesSpecPath is the tentpole's pinned property: a
 // scenario-driven paper-model search is bit-for-bit identical to the
-// hand-built Spec/Options path, across graph families, every execution
+// hand-built PaperModel, across graph families, every execution
 // tier (including batch), both symmetry modes, and worker counts — and
 // the two spellings content-address to the same fingerprint.
 func TestScenarioMatchesSpecPath(t *testing.T) {
@@ -202,8 +202,8 @@ func TestScenarioMatchesSpecPath(t *testing.T) {
 		for _, tier := range fx.tiers {
 			for _, sym := range []adversary.Symmetry{adversary.SymmetryAuto, adversary.SymmetryOff} {
 				for _, workers := range []int{1, 3, -1} {
-					opts := adversary.Options{Workers: workers, Tier: tier, Symmetry: sym}
-					want, err := adversary.Search(fx.spec, fx.space, opts)
+					pm := adversary.PaperModel{Spec: fx.spec, Space: fx.space, Tier: tier, Symmetry: sym}
+					want, err := adversary.SearchModel(pm, adversary.Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("%s/%v/%v/w=%d: spec path: %v", fx.name, tier, sym, workers, err)
 					}
@@ -218,7 +218,7 @@ func TestScenarioMatchesSpecPath(t *testing.T) {
 					if got != want {
 						t.Fatalf("%s/%v/%v/w=%d: scenario %+v != spec %+v", fx.name, tier, sym, workers, got, want)
 					}
-					specFP, err := adversary.Fingerprint(fx.spec, fx.space, opts)
+					specFP, err := pm.Fingerprint()
 					if err != nil {
 						t.Fatalf("%s: spec fingerprint: %v", fx.name, err)
 					}

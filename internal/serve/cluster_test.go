@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,14 +32,43 @@ func newWorker(t testing.TB, store *resultstore.Store) *httptest.Server {
 	return ts
 }
 
+// heldWorker boots a worker daemon whose /shard requests wait until
+// release is closed (or 10s pass, so a release that never comes fails
+// the caller's assertions rather than hanging the test). Holding the
+// healthy peer of a two-worker dispatch makes the other peer take
+// several shards in a row, however fast the healthy one would be.
+func heldWorker(t testing.TB, release <-chan struct{}) *httptest.Server {
+	t.Helper()
+	srv, err := New(Config{MaxConcurrent: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard" {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			case <-time.After(10 * time.Second):
+			}
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // killableWorker proxies a real worker and, after `after` shard
 // requests, kills the connection of every later one (and fails its
-// health probes) — a daemon dying mid-search.
+// health probes) — a daemon dying mid-search. killed is closed when
+// the first kill fires.
 type killableWorker struct {
-	ts     *httptest.Server
-	served atomic.Int32
-	dead   atomic.Bool
-	after  int32
+	ts       *httptest.Server
+	served   atomic.Int32
+	dead     atomic.Bool
+	after    int32
+	killed   chan struct{}
+	killOnce sync.Once
 }
 
 func newKillableWorker(t testing.TB, after int32) *killableWorker {
@@ -56,11 +86,12 @@ func newKillableWorkerCfg(t testing.TB, after int32, cfg Config) *killableWorker
 		t.Fatal(err)
 	}
 	handler := inner.Handler()
-	kw := &killableWorker{after: after}
+	kw := &killableWorker{after: after, killed: make(chan struct{})}
 	kw.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/shard" {
 			if kw.served.Add(1) > kw.after {
 				kw.dead.Store(true)
+				kw.killOnce.Do(func() { close(kw.killed) })
 				hj, ok := w.(http.Hijacker)
 				if !ok {
 					panic("hijack unsupported")
@@ -135,6 +166,9 @@ func distribute(t testing.TB, body string, shards int, progress func(int, int), 
 // dispatch tiers) × symmetry mode, a distributed search over two
 // workers — once healthy, once with one worker killed mid-search —
 // merges to a WorstCase bit-for-bit equal to the single-node engine.
+// In the kill case the healthy worker holds its first shard until the
+// kill has fired; otherwise it could drain the queue before the dying
+// worker came back for its second shard.
 func TestDistributedEquivalenceMatrix(t *testing.T) {
 	families := map[string]string{
 		"ring":      `{"graph":{"family":"ring","n":8},"explorer":"ring-sweep","algorithm":"cheap","L":4,"delays":[0,1],"symmetry":%q}`,
@@ -160,8 +194,8 @@ func TestDistributedEquivalenceMatrix(t *testing.T) {
 				}
 			})
 			t.Run(family+"/"+sym+"/worker-killed", func(t *testing.T) {
-				w1 := newWorker(t, nil)
 				dying := newKillableWorker(t, 1) // dies on its 2nd shard, mid-search
+				w1 := heldWorker(t, dying.killed)
 				got, err := distribute(t, body, shards, nil, w1.URL, dying.ts.URL)
 				if err != nil {
 					t.Fatal(err)

@@ -1121,7 +1121,7 @@ func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, r
 
 // traceObserver bridges the engine's SearchObserver events onto spans
 // under ctx (the engine span). The "plan" span opens immediately —
-// plan compilation is the first thing SearchCheckpointed does — and
+// plan compilation is the first thing SearchModelCheckpointed does — and
 // closes when PlanReady reports the decomposition; each executed shard
 // gets a "shard.exec" span tagged with its index, tier and run count;
 // checkpoint appends and the final merge get their own spans. With no

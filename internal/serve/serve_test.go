@@ -56,11 +56,14 @@ const ringRequest = `{"graph":{"family":"ring","n":6},"explorer":"ring-sweep","a
 func ringWant(t *testing.T) sim.WorstCase {
 	t.Helper()
 	params := core.Params{L: 3}
-	wc, err := adversary.Search(adversary.Spec{
-		Graph:       graph.OrientedRing(6),
-		Explorer:    explore.OrientedRingSweep{},
-		ScheduleFor: func(l int) sim.Schedule { return core.Cheap{}.Schedule(l, params) },
-	}, sim.SearchSpace{L: 3, Delays: []int{0, 1}}, adversary.Options{})
+	wc, err := adversary.SearchModel(adversary.PaperModel{
+		Spec: adversary.Spec{
+			Graph:       graph.OrientedRing(6),
+			Explorer:    explore.OrientedRingSweep{},
+			ScheduleFor: func(l int) sim.Schedule { return core.Cheap{}.Schedule(l, params) },
+		},
+		Space: sim.SearchSpace{L: 3, Delays: []int{0, 1}},
+	}, adversary.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +494,7 @@ func TestGraphSpecFamilies(t *testing.T) {
 }
 
 // TestEngineSearchMatchesSearch: the production searchFunc must agree
-// with the plain engine (it routes through SearchCheckpointed).
+// with the plain engine (it routes through SearchModelCheckpointed).
 func TestEngineSearchMatchesSearch(t *testing.T) {
 	want := ringWant(t)
 	params := core.Params{L: 3}

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
@@ -169,44 +167,6 @@ func (space SearchSpace) Expand(n int) (labelPairs, startPairs [][2]int, delays 
 	return labelPairs, startPairs, delays, nil
 }
 
-// SearchOptions tunes how an adversary search executes. The zero value
-// reproduces the historical serial behaviour.
-type SearchOptions struct {
-	// Workers is the number of goroutines the label-pair space is
-	// sharded across. 0 and 1 run serially in the calling goroutine; a
-	// negative value selects GOMAXPROCS. Output is bit-for-bit identical
-	// for every worker count.
-	Workers int
-	// Context cancels a long-running search between executions. Nil
-	// means context.Background(). On cancellation the search returns
-	// ctx.Err().
-	Context context.Context
-}
-
-// ResolveWorkers resolves the Workers option to a concrete goroutine
-// count for the given number of shardable units (clamped to [1, units];
-// negative selects GOMAXPROCS).
-func (o SearchOptions) ResolveWorkers(units int) int {
-	w := o.Workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > units {
-		w = units
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func (o SearchOptions) context() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
 // Trajectories precompiles and caches solo trajectories per (label,
 // start) so adversary searches do not recompile schedules. A single
 // cache is not safe for concurrent use; the parallel search gives each
@@ -220,8 +180,8 @@ type Trajectories struct {
 
 // NewTrajectories returns an empty cache over the given graph, explorer
 // and per-label schedule function. scheduleFor is shared by every Clone
-// of the cache, so under a parallel search (SearchWith with Workers > 1)
-// it is called concurrently from every worker: it must be a
+// of the cache, so under the adversary engine's parallel search it is
+// called concurrently from every worker: it must be a
 // deterministic function safe for concurrent use, not a memoizing
 // closure over shared state.
 func NewTrajectories(g *graph.Graph, ex explore.Explorer, scheduleFor func(label int) Schedule) *Trajectories {
@@ -309,59 +269,20 @@ func Meet(trajA, trajB Trajectory, wakeA, wakeB int, parachuted bool) Result {
 	}
 }
 
-// Sharded is the engine's shared fan-out scaffolding: it splits pairs
-// into contiguous shards — one per resolved worker — runs sweep on each
-// shard concurrently, and folds the per-shard results in shard order
-// with merge. With one resolved worker it calls sweep once on the whole
-// slice in the calling goroutine. Folding in shard order with a
-// strictly-greater merge is what makes parallel output bit-for-bit
-// equal to serial; every parallel search in the engine (sim, ringsim,
-// adversary) goes through this one implementation so the determinism
-// recipe cannot silently diverge between executors. sweep must be safe
-// to call from multiple goroutines on disjoint shards.
-func Sharded[R any](opts SearchOptions, pairs [][2]int, sweep func(ctx context.Context, shard [][2]int) (R, error), merge func(acc *R, next R)) (R, error) {
-	ctx := opts.context()
-	workers := opts.ResolveWorkers(len(pairs))
-	if workers <= 1 {
-		return sweep(ctx, pairs)
+// Search runs the adversary serially over the given space and returns
+// the worst time and cost found. Every execution must achieve
+// rendezvous for AllMet to hold; executions that never meet are still
+// counted in Runs so the caller can detect the violation, but
+// contribute to neither witness (both measures are defined until the
+// meeting). The context is checked once per label pair, so cancellation
+// latency is bounded by one (startPairs × delays) sweep; on
+// cancellation Search returns ctx.Err(). The adversary engine runs one
+// Search per shard, each on its own Clone of a shared cache.
+func Search(ctx context.Context, tc *Trajectories, space SearchSpace) (WorstCase, error) {
+	labelPairs, startPairs, delays, err := space.Expand(tc.g.N())
+	if err != nil {
+		return WorstCase{}, err
 	}
-
-	type shardResult struct {
-		res R
-		err error
-	}
-	results := make([]shardResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(pairs) / workers
-		hi := (w + 1) * len(pairs) / workers
-		wg.Add(1)
-		go func(w int, shard [][2]int) {
-			defer wg.Done()
-			res, err := sweep(ctx, shard)
-			results[w] = shardResult{res, err}
-		}(w, pairs[lo:hi])
-	}
-	wg.Wait()
-
-	for _, r := range results {
-		if r.err != nil {
-			var zero R
-			return zero, r.err
-		}
-	}
-	acc := results[0].res
-	for _, r := range results[1:] {
-		merge(&acc, r.res)
-	}
-	return acc, nil
-}
-
-// searchShard runs the serial kernel over one contiguous slice of label
-// pairs, using (and filling) the given cache. The context is checked
-// once per label pair, so cancellation latency is bounded by one
-// (startPairs × delays) sweep.
-func searchShard(ctx context.Context, tc *Trajectories, labelPairs, startPairs [][2]int, delays []int) (WorstCase, error) {
 	wc := WorstCase{AllMet: true}
 	for _, lp := range labelPairs {
 		if err := ctx.Err(); err != nil {
@@ -382,36 +303,4 @@ func searchShard(ctx context.Context, tc *Trajectories, labelPairs, startPairs [
 		}
 	}
 	return wc, nil
-}
-
-// Search runs the adversary over the given space and returns the worst
-// time and cost found. Every execution must achieve rendezvous for
-// AllMet to hold; executions that never meet are still counted in Runs
-// so the caller can detect the violation, but contribute to neither
-// witness (both measures are defined until the meeting).
-//
-// Search is the serial entry point kept for existing callers; it is
-// SearchWith with zero options.
-func Search(tc *Trajectories, space SearchSpace) (WorstCase, error) {
-	return SearchWith(tc, space, SearchOptions{})
-}
-
-// SearchWith runs the adversary with explicit execution options. With
-// Workers > 1 the label-pair space is split into contiguous shards, one
-// goroutine per shard, each with its own cloned trajectory cache; the
-// per-shard results are folded in shard order, which makes the output —
-// witnesses, Runs, AllMet — bit-for-bit identical to the serial scan
-// regardless of scheduling.
-func SearchWith(tc *Trajectories, space SearchSpace, opts SearchOptions) (WorstCase, error) {
-	labelPairs, startPairs, delays, err := space.Expand(tc.g.N())
-	if err != nil {
-		return WorstCase{}, err
-	}
-	if opts.ResolveWorkers(len(labelPairs)) <= 1 {
-		// Serial: use (and warm) the caller's cache directly.
-		return searchShard(opts.context(), tc, labelPairs, startPairs, delays)
-	}
-	return Sharded(opts, labelPairs, func(ctx context.Context, shard [][2]int) (WorstCase, error) {
-		return searchShard(ctx, tc.Clone(), shard, startPairs, delays)
-	}, (*WorstCase).Merge)
 }

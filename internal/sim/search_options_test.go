@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"runtime"
+	"context"
 	"testing"
 
 	"rendezvous/internal/explore"
@@ -127,7 +127,7 @@ func TestObserveUntilMeetingWitnesses(t *testing.T) {
 func TestSearchNonMeetingLeavesWitnessesEmpty(t *testing.T) {
 	g := graph.OrientedRing(6)
 	tc := NewTrajectories(g, explore.OrientedRingSweep{}, func(int) Schedule { return Schedule{SegmentExplore} })
-	wc, err := Search(tc, SearchSpace{L: 2})
+	wc, err := Search(context.Background(), tc, SearchSpace{L: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,34 +139,5 @@ func TestSearchNonMeetingLeavesWitnessesEmpty(t *testing.T) {
 	}
 	if wc.Time != (Witness{}) || wc.Cost != (Witness{}) {
 		t.Errorf("witnesses must stay empty when nothing meets: %+v", wc)
-	}
-}
-
-// TestResolveWorkers is the table-driven coverage for the worker-count
-// resolution rules: 0 and 1 are serial, negatives select GOMAXPROCS,
-// and the result is always clamped to [1, units].
-func TestResolveWorkers(t *testing.T) {
-	maxprocs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		name    string
-		workers int
-		units   int
-		want    int
-	}{
-		{"zero is serial", 0, 100, 1},
-		{"one is serial", 1, 100, 1},
-		{"explicit count", 7, 100, 7},
-		{"clamped to units", 8, 3, 3},
-		{"negative selects GOMAXPROCS", -1, 1 << 30, maxprocs},
-		{"negative clamped to units", -1, 1, 1},
-		{"zero units never yields zero workers", 4, 0, 1},
-		{"negative units never yields zero workers", 4, -2, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := (SearchOptions{Workers: tc.workers}).ResolveWorkers(tc.units); got != tc.want {
-				t.Errorf("ResolveWorkers(%d) with Workers=%d = %d, want %d", tc.units, tc.workers, got, tc.want)
-			}
-		})
 	}
 }

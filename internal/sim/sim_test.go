@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -264,7 +265,7 @@ func TestSearchFindsWorstCase(t *testing.T) {
 		return Schedule{SegmentExplore}
 	}
 	tc := NewTrajectories(g, explore.OrientedRingSweep{}, scheduleFor)
-	wc, err := Search(tc, SearchSpace{L: 2})
+	wc, err := Search(context.Background(), tc, SearchSpace{L: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestSearchDetectsNonMeeting(t *testing.T) {
 	// rotation: same-direction sweeps never meet from distinct starts.
 	scheduleFor := func(int) Schedule { return Schedule{SegmentExplore} }
 	tc := NewTrajectories(g, explore.OrientedRingSweep{}, scheduleFor)
-	wc, err := Search(tc, SearchSpace{L: 2})
+	wc, err := Search(context.Background(), tc, SearchSpace{L: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestSearchExplicitSpace(t *testing.T) {
 		return Schedule{SegmentExplore}
 	}
 	tc := NewTrajectories(g, explore.OrientedRingSweep{}, scheduleFor)
-	wc, err := Search(tc, SearchSpace{
+	wc, err := Search(context.Background(), tc, SearchSpace{
 		LabelPairs: [][2]int{{7, 3}},
 		StartPairs: [][2]int{{0, 9}},
 		Delays:     []int{0, 3},
@@ -330,7 +331,7 @@ func TestSearchExplicitSpace(t *testing.T) {
 func TestSearchNeedsLabels(t *testing.T) {
 	g := graph.OrientedRing(4)
 	tc := NewTrajectories(g, explore.OrientedRingSweep{}, func(int) Schedule { return nil })
-	if _, err := Search(tc, SearchSpace{L: 1}); err == nil {
+	if _, err := Search(context.Background(), tc, SearchSpace{L: 1}); err == nil {
 		t.Error("L=1 with nil LabelPairs: want error")
 	}
 }

@@ -153,11 +153,6 @@ type (
 	// WorstCase is the adversary's report: worst time and cost with
 	// witnesses, the number of executions, and whether all met.
 	WorstCase = sim.WorstCase
-	// SearchOptions tunes execution: worker count, cancellation context,
-	// dispatch tier, meeting-table memory budget and symmetry
-	// reduction. The zero value is serial with automatic tier dispatch
-	// and automatic symmetry reduction.
-	SearchOptions = adversary.Options
 	// SearchTier identifies an execution tier of the engine (generic
 	// trajectory scan, meeting tables scalar or 64-lane batched,
 	// segment-level ring); TierAuto picks the fastest eligible one,
@@ -199,6 +194,46 @@ const (
 	SymmetryForced = adversary.SymmetryForced
 )
 
+// SearchOptions tunes a search: worker count, cancellation context,
+// dispatch tier, meeting-table memory budget and symmetry reduction.
+// The zero value is serial with automatic tier dispatch and automatic
+// symmetry reduction.
+type SearchOptions struct {
+	// Workers is the number of goroutines the search runs on. 0 and 1
+	// run serially; a negative value selects GOMAXPROCS. Output is
+	// identical for every worker count.
+	Workers int
+	// Context cancels a long-running search between executions; the
+	// search then returns ctx.Err(). Nil means context.Background().
+	Context context.Context
+	// Tier forces an execution tier; TierAuto (the zero value) picks
+	// the fastest eligible one.
+	Tier SearchTier
+	// TableBudget caps, in bytes, the memory TierAuto may spend on
+	// meeting tables before falling back to the generic executor: 0
+	// means the 64 MiB default, negative disables the table tiers.
+	TableBudget int64
+	// Symmetry selects the start-pair orbit reduction.
+	Symmetry Symmetry
+}
+
+// paperModel spells a Graph/Explorer/schedule search as the engine's
+// paper model; the execution options go to the engine separately.
+func paperModel(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace, opts SearchOptions) adversary.PaperModel {
+	return adversary.PaperModel{
+		Spec:        adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor},
+		Space:       space,
+		Tier:        opts.Tier,
+		TableBudget: opts.TableBudget,
+		Symmetry:    opts.Symmetry,
+	}
+}
+
+// engine returns the execution options the engine reads.
+func (o SearchOptions) engine() adversary.Options {
+	return adversary.Options{Workers: o.Workers, Context: o.Context}
+}
+
 // Automorphisms returns every port-preserving automorphism of g — the
 // exact symmetry group the search engine's reduction quotients start
 // pairs by. The identity is always present; on consistently-labeled
@@ -211,7 +246,7 @@ func Automorphisms(g *Graph) []GraphAutomorphism { return graph.Automorphisms(g)
 // with the sweep explorer, executions are automatically routed through
 // the O(|schedule|) segment-level engine. Results are deterministic.
 func Search(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace) (WorstCase, error) {
-	return adversary.Search(adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor}, space, adversary.Options{})
+	return SearchWith(g, ex, scheduleFor, space, SearchOptions{})
 }
 
 // SearchParallel is Search sharded across the given number of worker
@@ -225,17 +260,13 @@ func SearchParallel(ctx context.Context, g *Graph, ex Explorer, scheduleFor func
 	if workers <= 0 {
 		workers = -1
 	}
-	return adversary.Search(
-		adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor},
-		space,
-		adversary.Options{Workers: workers, Context: ctx},
-	)
+	return SearchWith(g, ex, scheduleFor, space, SearchOptions{Workers: workers, Context: ctx})
 }
 
 // SearchWith runs the adversary with explicit options, for callers that
 // need full control (e.g. disabling the ring fast path).
 func SearchWith(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace, opts SearchOptions) (WorstCase, error) {
-	return adversary.Search(adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor}, space, opts)
+	return adversary.SearchModel(paperModel(g, ex, scheduleFor, space, opts), opts.engine())
 }
 
 // Persistence (internal/resultstore): worst-case values are immutable
@@ -263,7 +294,7 @@ func OpenStore(dir string) (*Store, error) { return resultstore.Open(dir) }
 // structure, explorers by behaviour), and output-invariant options
 // (Workers, Tier, TableBudget) do not contribute.
 func SearchFingerprint(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace, opts SearchOptions) (string, error) {
-	return adversary.Fingerprint(adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor}, space, opts)
+	return paperModel(g, ex, scheduleFor, space, opts).Fingerprint()
 }
 
 // SearchCached is Search fronted by a result store: a fingerprint hit
@@ -271,7 +302,7 @@ func SearchFingerprint(g *Graph, ex Explorer, scheduleFor func(label int) Schedu
 // (including one caused by a corrupt record) computes the result and
 // writes it back. cached reports which path answered.
 func SearchCached(store *Store, g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace, opts SearchOptions) (wc WorstCase, cached bool, err error) {
-	return adversary.SearchCached(store, adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor}, space, opts)
+	return adversary.SearchModelCached(store, paperModel(g, ex, scheduleFor, space, opts), opts.engine())
 }
 
 // SearchCheckpointed is Search with shard-granular checkpoint/resume:
@@ -281,7 +312,7 @@ func SearchCached(store *Store, g *Graph, ex Explorer, scheduleFor func(label in
 // and tier). With an empty cfg.Path it degrades to a plain sharded
 // search that reports shard-level progress via cfg.Progress.
 func SearchCheckpointed(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace, opts SearchOptions, cfg CheckpointConfig) (WorstCase, error) {
-	return adversary.SearchCheckpointed(adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor}, space, opts, cfg)
+	return adversary.SearchModelCheckpointed(paperModel(g, ex, scheduleFor, space, opts), opts.engine(), cfg)
 }
 
 // Pluggable models and declarative scenarios (internal/model +
@@ -323,7 +354,7 @@ func ScenarioModels() []string { return scenario.Models() }
 // determinism contract: bit-for-bit identical output for every worker
 // count. Only execution options (Workers, Context) are read from opts.
 func SearchModel(m Model, opts SearchOptions) (WorstCase, error) {
-	return adversary.SearchModel(m, opts)
+	return adversary.SearchModel(m, opts.engine())
 }
 
 // Distributed search (internal/cluster + internal/serve): the engine's
