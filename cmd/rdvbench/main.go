@@ -15,7 +15,7 @@
 //	rdvbench -symmetry off   # start-pair orbit reduction: auto (default), off, forced
 //	rdvbench -tier batch     # force an execution tier: auto (default), generic, table, batch, ring
 //	rdvbench -cache DIR      # serve repeated sweeps from a result store at DIR
-//	rdvbench -resume DIR     # checkpoint sweeps into DIR; a cancelled run resumes
+//	rdvbench -resume DIR     # checkpoint sweep shards into a store at DIR; a cancelled run resumes
 //	rdvbench -scenario F     # run the searches of a scenario file (JSON) instead
 //
 // Tables are identical for every -workers, -tablemem, -symmetry and
@@ -29,7 +29,10 @@
 // -resume are persistence options with the same bit-for-bit property:
 // a store hit returns the exact WorstCase a cold sweep would compute,
 // and a resumed sweep merges to the same output as an uninterrupted
-// one.
+// one. -resume DIR is a result-store directory like -cache's: each
+// completed shard of a sweep is stored there as its own record, a
+// rerun after a crash or timeout restores those records, and a sweep's
+// records are deleted once it completes.
 //
 // -scenario runs a declarative scenario file (internal/scenario format)
 // through the engine's model-generic path instead of the experiment
@@ -94,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		symmetry = fs.String("symmetry", "auto", "start-pair orbit reduction: auto, off or forced")
 		tierName = fs.String("tier", "auto", "execution tier: auto, generic, table, batch or ring")
 		cacheDir = fs.String("cache", "", "result-store directory for sweep caching (empty = no cache)")
-		resume   = fs.String("resume", "", "checkpoint directory for resumable sweeps (empty = no checkpoints)")
+		resume   = fs.String("resume", "", "result-store directory for per-shard sweep checkpoints (empty = no checkpoints)")
 		scenPath = fs.String("scenario", "", "scenario file (JSON) to run instead of the experiment registry")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -136,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *resume != "" {
-		if err := os.MkdirAll(*resume, 0o755); err != nil {
+		if _, err := resultstore.Open(*resume); err != nil {
 			return usageErr("-resume %s: %v", *resume, err)
 		}
 	}

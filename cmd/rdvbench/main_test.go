@@ -1,11 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rendezvous/internal/adversary"
+	"rendezvous/internal/resultstore"
+	"rendezvous/internal/scenario"
 )
 
 // TestList: -list prints every experiment ID, one per line, and exits 0.
@@ -139,8 +145,8 @@ func TestJSONReport(t *testing.T) {
 }
 
 // TestCacheAndResume: a -cache run populates the result store and a
-// rerun serves from it with identical output; -resume leaves sweep
-// checkpoints behind. Both must not change any table.
+// rerun serves from it with identical output; -resume leaves no shard
+// records behind. Both must not change any table.
 func TestCacheAndResume(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "store")
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
@@ -158,8 +164,8 @@ func TestCacheAndResume(t *testing.T) {
 		t.Fatalf("cache store is empty after a cold run (err %v)", err)
 	}
 	// Checkpoints are crash recovery, not a cache: a sweep that ran to
-	// completion must clean its file up (the store carries reruns).
-	ckpts, err := filepath.Glob(filepath.Join(ckpt, "*.ckpt"))
+	// completion must delete its shard records (the store carries reruns).
+	ckpts, err := filepath.Glob(filepath.Join(ckpt, "objects", "*", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +178,98 @@ func TestCacheAndResume(t *testing.T) {
 	}
 	if cold.String() != plain.String() || warm.String() != plain.String() {
 		t.Error("cached/resumed output differs from the plain run")
+	}
+}
+
+// TestResumeFromPlantedShards resumes through rdvbench itself: the
+// first k shard records of a committed E-file search — what a run
+// killed after k shards leaves behind, computed here with the engine's
+// own plan — are planted in a -resume directory, and the resumed
+// -scenario run must print exactly what a plain run prints and delete
+// every record once done. A poisoned record then proves the run reads
+// the planted records instead of recomputing them.
+func TestResumeFromPlantedShards(t *testing.T) {
+	const file = "../../examples/scenarios/E1.json"
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := scenario.ParseFile(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := f.CompileAll(scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := models[0]
+	fp, err := m.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := adversary.NewModelPlan(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	num := plan.Shards()
+	if num < 2 {
+		t.Fatalf("search 0 of %s has %d shard(s); want several to resume part of", file, num)
+	}
+	plant := func(dir string, k int, poison bool) {
+		t.Helper()
+		store, err := resultstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			wc, err := plan.RunShard(context.Background(), i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if poison {
+				wc.Time.Value = 1 << 30
+			}
+			if err := store.Put(adversary.ShardFingerprint(fp, i, num), wc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	records := func(dir string) int {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(paths)
+	}
+
+	var plain, resumed, poisoned, stderr strings.Builder
+	if code := run([]string{"-scenario", file}, &plain, &stderr); code != 0 {
+		t.Fatalf("plain run: exit %d, stderr: %s", code, stderr.String())
+	}
+	dir := filepath.Join(t.TempDir(), "resume")
+	plant(dir, num/2, false)
+	if got := records(dir); got != num/2 {
+		t.Fatalf("planted %d records, want %d", got, num/2)
+	}
+	if code := run([]string{"-scenario", file, "-resume", dir}, &resumed, &stderr); code != 0 {
+		t.Fatalf("resumed run: exit %d, stderr: %s", code, stderr.String())
+	}
+	if resumed.String() != plain.String() {
+		t.Errorf("resumed output differs from the plain run:\nplain:\n%s\nresumed:\n%s", plain.String(), resumed.String())
+	}
+	if got := records(dir); got != 0 {
+		t.Errorf("resume directory holds %d record(s) after the run, want 0", got)
+	}
+
+	poisonDir := filepath.Join(t.TempDir(), "poison")
+	plant(poisonDir, 1, true)
+	if code := run([]string{"-scenario", file, "-resume", poisonDir}, &poisoned, &stderr); code != 0 {
+		t.Fatalf("poisoned run: exit %d, stderr: %s", code, stderr.String())
+	}
+	if want := fmt.Sprintf("search 0: time=%d ", 1<<30); !strings.HasPrefix(poisoned.String(), want) {
+		t.Errorf("a poisoned shard record was not restored: output starts %q, want %q",
+			strings.SplitN(poisoned.String(), "\n", 2)[0], want)
 	}
 }
 

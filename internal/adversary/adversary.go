@@ -14,8 +14,15 @@
 //     output — witnesses, Runs, AllMet, and the first error — is
 //     bit-for-bit identical to the serial scan for every worker count,
 //     shard count and goroutine schedule. One driver runs every search:
-//     SearchModel is SearchModelCheckpointed with no checkpoint file
+//     SearchModel is SearchModelCheckpointed with no checkpoint store
 //     and one shard per worker.
+//
+//   - Persistence. SearchModelCached answers a whole search from the
+//     result store (internal/resultstore); SearchModelCheckpointed
+//     stores each completed shard there as its own record, keyed by
+//     ShardFingerprint, and restores those records on resume. The
+//     store's checksummed, atomically published record is the
+//     engine's one durable format.
 //
 //   - Tiered dispatch. Executions are routed to the fastest executor
 //     that covers the spec:

@@ -1,19 +1,15 @@
 package adversary
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"rendezvous/internal/meetoracle"
 	"rendezvous/internal/model"
+	"rendezvous/internal/resultstore"
 	"rendezvous/internal/sim"
 )
 
@@ -24,44 +20,43 @@ import (
 // results are folded in shard order with the strictly-greater Merge: a
 // merge over any contiguous in-order partition of the enumeration
 // yields exactly the serial scan's witnesses, so it cannot matter which
-// shards were replayed from the checkpoint file and which were
-// recomputed (or by which tier, since all tiers are bit-for-bit
-// equivalent), nor how many shards a plain SearchModel cut.
+// shards were restored from the result store and which were recomputed
+// (or by which tier, since all tiers are bit-for-bit equivalent), nor
+// how many shards a plain SearchModel cut.
 
 // DefaultCheckpointShards is the shard count a checkpointed search
 // aims for when CheckpointConfig.Shards is zero: granular enough that
 // an interrupted sweep loses at most a few percent of its work, small
-// enough that the checkpoint file stays tiny.
+// enough that it writes only a few dozen store records.
 const DefaultCheckpointShards = 32
-
-// checkpointVersion versions the checkpoint file format.
-const checkpointVersion = 1
 
 // CheckpointConfig tunes SearchModelCheckpointed. The zero value runs a
 // plain (unpersisted) sharded search with optional progress reporting.
 type CheckpointConfig struct {
-	// Path is the checkpoint file. Completed shards are appended to it
-	// as they finish, and a later run with the same search resumes from
-	// them. Empty disables persistence (Progress still fires).
+	// Path is a result-store directory (resultstore.Open). Each
+	// completed shard is Put there as a record keyed by its
+	// ShardFingerprint as it finishes, and a later run with the same
+	// search and shard count restores those records instead of
+	// recomputing them. Empty disables persistence (Progress still
+	// fires).
 	Path string
 	// Shards overrides the shard count (0 = DefaultCheckpointShards,
-	// clamped to the number of label pairs). A checkpoint written with
-	// a different shard count is discarded on resume, never misread.
+	// clamped to the number of label pairs). The count is part of every
+	// shard's key, so records of another decomposition are never read.
 	Shards int
 	// Fingerprint, when non-empty, is the search's precomputed content
 	// address (the model's Fingerprint), saving the recomputation when
-	// the caller already derived it (e.g. to name the checkpoint file).
-	// It must be the fingerprint of this very search: a wrong value
-	// would make resume discard or, worse, restore a foreign
-	// checkpoint. Empty means compute it here.
+	// the caller already derived it. It must be the fingerprint of this
+	// very search: a wrong value would make resume miss or, worse,
+	// restore another search's shards. Empty means compute it here.
 	Fingerprint string
 	// Progress, when non-nil, is called after every completed shard
 	// with the number of completed shards (including ones restored from
-	// the checkpoint, reported once up front) and the total. Calls are
+	// the store, reported once up front) and the total. Calls are
 	// serialized; the callback must not block for long.
 	Progress func(completed, total int)
 	// Observer receives stage-boundary events (plan ready, per-shard
-	// start/finish, checkpoint appends, merge) for tracing. Like
+	// start/finish, shard-record Puts, merge) for tracing. Like
 	// Progress it lives here rather than in Options, so observation can
 	// never perturb the search fingerprint. The zero value observes
 	// nothing.
@@ -213,180 +208,40 @@ func shardBounds(pairs, num, i int) (lo, hi int) {
 	return i * pairs / num, (i + 1) * pairs / num
 }
 
-// ckptHeader is the first line of a checkpoint file. Fingerprint
-// binds the file to one search configuration (via the resultstore's
-// canonical fingerprint) and Shards to one shard decomposition; a
-// mismatch on either discards the file, so a checkpoint can never
-// leak results into a different search.
-type ckptHeader struct {
-	Version     int    `json:"version"`
-	Fingerprint string `json:"fingerprint"`
-	Shards      int    `json:"shards"`
-}
-
-// ckptShard is one completed-shard line of a checkpoint file.
-// Checksum guards the record the same way resultstore guards its
-// records: a bit-rotted line that still parses as JSON must not be
-// restored, or the resumed merge would silently diverge from an
-// uninterrupted run.
-type ckptShard struct {
-	Shard    int           `json:"shard"`
-	Result   sim.WorstCase `json:"result"`
-	Checksum string        `json:"checksum"`
-}
-
-// checksum returns the record's integrity hash: SHA-256 over the
-// canonical JSON encoding with the Checksum field blanked.
-func (r ckptShard) checksum() string {
-	r.Checksum = ""
-	data, err := json.Marshal(r)
-	if err != nil {
-		// ckptShard contains only marshalable fields; this cannot happen.
-		panic(fmt.Sprintf("adversary: marshal checkpoint record: %v", err))
-	}
-	sum := sha256.Sum256(data)
+// ShardFingerprint returns the store key of one shard's partial
+// result: the search fingerprint bound to the shard's position in the
+// fixed decomposition. A checkpointed search, the cluster coordinator
+// and its workers all store shard results under this key, so a
+// resumed, re-dispatched or re-requested shard is answered without
+// recomputation.
+func ShardFingerprint(fingerprint string, shard, shards int) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("shard\x00%s\x00%d\x00%d", fingerprint, shard, shards)))
 	return hex.EncodeToString(sum[:])
-}
-
-// stamped returns the record with its checksum filled in.
-func (r ckptShard) stamped() ckptShard {
-	r.Checksum = r.checksum()
-	return r
-}
-
-// loadCheckpoint reads the completed-shard records of a checkpoint
-// file. Every failure mode — missing file, foreign header, truncated
-// or garbled line (a crash mid-append) — degrades to fewer restored
-// shards, never an error; a torn trailing line drops only itself and
-// anything after it.
-func loadCheckpoint(path, fingerprint string, shards int) map[int]sim.WorstCase {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	lines := bytes.Split(data, []byte("\n"))
-	if len(lines) == 0 {
-		return nil
-	}
-	var hdr ckptHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil
-	}
-	if hdr.Version != checkpointVersion || hdr.Fingerprint != fingerprint || hdr.Shards != shards {
-		return nil
-	}
-	done := make(map[int]sim.WorstCase)
-	for _, line := range lines[1:] {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec ckptShard
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break // torn write: drop this line and everything after it
-		}
-		if rec.Checksum == "" || rec.Checksum != rec.checksum() {
-			break // bit rot: a damaged record must recompute, not restore
-		}
-		if rec.Shard >= 0 && rec.Shard < shards {
-			done[rec.Shard] = rec.Result
-		}
-	}
-	return done
-}
-
-// checkpointWriter appends completed-shard records to the checkpoint
-// file, syncing after every record so a crash loses at most the shard
-// being written (whose torn line the loader drops).
-type checkpointWriter struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// newCheckpointWriter (re)initializes the checkpoint file: it writes
-// a fresh header plus the restored shard records to a temp file,
-// renames it into place (dropping any garbage the old file carried),
-// and returns a writer appending to it.
-func newCheckpointWriter(path, fingerprint string, shards int, done map[int]sim.WorstCase) (*checkpointWriter, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("adversary: checkpoint: %w", err)
-		}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return nil, fmt.Errorf("adversary: checkpoint: %w", err)
-	}
-	enc := json.NewEncoder(tmp)
-	werr := enc.Encode(ckptHeader{Version: checkpointVersion, Fingerprint: fingerprint, Shards: shards})
-	idxs := make([]int, 0, len(done))
-	for i := range done {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		if werr == nil {
-			werr = enc.Encode(ckptShard{Shard: i, Result: done[i]}.stamped())
-		}
-	}
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("adversary: checkpoint %s: %w", path, werr)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("adversary: checkpoint %s: %w", path, err)
-	}
-	return &checkpointWriter{f: f}, nil
-}
-
-func (w *checkpointWriter) record(shard int, wc sim.WorstCase) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := json.NewEncoder(w.f).Encode(ckptShard{Shard: shard, Result: wc}.stamped()); err != nil {
-		return fmt.Errorf("adversary: checkpoint: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("adversary: checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (w *checkpointWriter) close() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.f.Close()
 }
 
 // SearchModelCheckpointed is SearchModel with shard-granular
 // checkpoint/resume: the label-pair space is split into a fixed number
 // of contiguous shards (cfg.Shards, independent of the worker count),
-// each completed shard's result is appended to cfg.Path as it
-// finishes, and a rerun of the same search resumes from the completed
-// shards. The merged output — values, witnesses, Runs, AllMet — is
-// bit-for-bit identical to an uninterrupted SearchModel for every
-// worker count, every interruption point, and every tier/symmetry
-// combination (a resumed shard may even be replayed by a different
-// tier than the one that computed it, since all tiers are equivalent).
-// The checkpoint file is bound to the model's own fingerprint (its own
-// domain salt), so checkpoints of different models can never be
-// misread for each other; a file whose fingerprint, shard count or
-// format does not match the current search is discarded, not misread.
+// each completed shard's result is Put into the result store at
+// cfg.Path as it finishes, and a rerun of the same search resumes from
+// the stored shards. The merged output — values, witnesses, Runs,
+// AllMet — is bit-for-bit identical to an uninterrupted SearchModel
+// for every worker count, every interruption point, and every
+// tier/symmetry combination (a resumed shard may even be replayed by a
+// different tier than the one that computed it, since all tiers are
+// equivalent). Shard records are keyed by ShardFingerprint over the
+// model's own fingerprint (its own domain salt) and the shard count,
+// so another model's, another search's or another decomposition's
+// records are never read; a damaged record reads as a miss and that
+// shard alone recomputes.
 //
-// On cancellation the search returns the context's error and the
-// checkpoint keeps every completed shard; the caller retries with the
-// same arguments to resume. A search that cannot be fingerprinted
-// (its explorer rejects the graph, so there is no content address to
-// bind a checkpoint to) runs without persistence, exactly as
-// SearchModel would run it.
+// On cancellation the search returns the context's error and the store
+// keeps every completed shard; the caller retries with the same
+// arguments to resume. The records stay in the store after a completed
+// search, for the caller to keep or Delete. A search that cannot be
+// fingerprinted (its explorer rejects the graph, so there is no content
+// address to key records by) runs without persistence, exactly as
+// SearchModel would run it, and leaves cfg.Path untouched.
 func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
 	plan, err := NewModelPlan(m, cfg.Shards)
 	if err != nil {
@@ -396,13 +251,13 @@ func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) 
 }
 
 // runPlan is the engine's one fan-out driver. It restores the shards
-// cfg's checkpoint holds, sweeps the rest on a pool of resolved-worker
+// cfg's store holds, sweeps the rest on a pool of resolved-worker
 // goroutines that take shards in index order, and folds every shard's
 // result in shard order. Once a shard fails no new shard starts and
 // running higher-indexed shards are cancelled, while lower-indexed ones
 // run to completion: the reported error is then always the lowest
 // failing shard's — the serial scan's first error — however the shards
-// were scheduled.
+// were scheduled. A failed shard-record Put fails its shard.
 func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
 	num := plan.Shards()
 	obs := cfg.Observer
@@ -410,40 +265,36 @@ func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim
 		obs.PlanReady(plan.Info())
 	}
 
-	var done map[int]sim.WorstCase
-	var writer *checkpointWriter
-	if cfg.Path != "" {
-		fp := cfg.Fingerprint
-		var err error
-		if fp == "" {
-			if fp, err = m.Fingerprint(); err != nil {
-				// Unfingerprintable searches (an explorer that rejects the
-				// graph) cannot be bound to a checkpoint file, but the
-				// generic tier may still execute them (schedules that never
-				// explore); run without persistence, exactly as
-				// SearchModelCached runs them without the store.
-				cfg.Path = ""
-				fp = ""
-			}
+	// Fingerprint before opening the store, so a search without a
+	// content address creates nothing at cfg.Path. Unfingerprintable
+	// searches (an explorer that rejects the graph) may still execute
+	// on the generic tier (schedules that never explore); they run
+	// without persistence, exactly as SearchModelCached runs them
+	// without the store.
+	var store *resultstore.Store
+	fp := cfg.Fingerprint
+	if cfg.Path != "" && fp == "" {
+		if f, err := m.Fingerprint(); err == nil {
+			fp = f
 		}
-		if cfg.Path != "" {
-			done = loadCheckpoint(cfg.Path, fp, num)
-			writer, err = newCheckpointWriter(cfg.Path, fp, num, done)
-			if err != nil {
-				return sim.WorstCase{}, err
-			}
-			defer writer.close()
+	}
+	if cfg.Path != "" && fp != "" {
+		var err error
+		if store, err = resultstore.Open(cfg.Path); err != nil {
+			return sim.WorstCase{}, fmt.Errorf("adversary: checkpoint: %w", err)
 		}
 	}
 
 	results := make([]sim.WorstCase, num)
 	var todo []int
 	for i := 0; i < num; i++ {
-		if wc, ok := done[i]; ok {
-			results[i] = wc
-		} else {
-			todo = append(todo, i)
+		if store != nil {
+			if wc, ok := store.Get(ShardFingerprint(fp, i, num)); ok {
+				results[i] = wc
+				continue
+			}
 		}
+		todo = append(todo, i)
 	}
 	completed := num - len(todo)
 	if obs.ShardsRestored != nil {
@@ -493,13 +344,13 @@ func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim
 						}
 						obs.ShardFinished(i, num, runs, err)
 					}
-					if err == nil && writer != nil {
-						if obs.CheckpointAppendStarted != nil {
-							obs.CheckpointAppendStarted(i)
+					if err == nil && store != nil {
+						if obs.StorePutStarted != nil {
+							obs.StorePutStarted(i)
 						}
-						err = writer.record(i, wc)
-						if obs.CheckpointAppendFinished != nil {
-							obs.CheckpointAppendFinished(i, err)
+						err = store.Put(ShardFingerprint(fp, i, num), wc)
+						if obs.StorePutFinished != nil {
+							obs.StorePutFinished(i, err)
 						}
 					}
 					mu.Lock()

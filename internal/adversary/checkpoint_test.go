@@ -54,7 +54,7 @@ func tiersFor(spec Spec) []Tier {
 // uninterrupted runs: for every family x tier x symmetry mode in the
 // sweep matrix and workers {1, 2, 8}, SearchModel,
 // SearchModelCheckpointed (1 shard, one shard per worker, 32 shards,
-// and with a checkpoint file) and the cluster's path — NewModelPlan,
+// and with a checkpoint store) and the cluster's path — NewModelPlan,
 // RunShard on concurrent goroutines, MergeShards — all return a
 // WorstCase bit-for-bit equal to the serial SearchModel.
 func TestCheckpointedEquivalenceSweep(t *testing.T) {
@@ -91,7 +91,7 @@ func TestCheckpointedEquivalenceSweep(t *testing.T) {
 						got, err = runPlanConcurrently(m, workers)
 						check("plan", workers, got, err)
 					}
-					path := filepath.Join(t.TempDir(), "sweep.ckpt")
+					path := filepath.Join(t.TempDir(), "sweep")
 					got, err := SearchModelCheckpointed(m, Options{}, CheckpointConfig{Path: path, Shards: 5})
 					check("with file", 1, got, err)
 				}
@@ -127,7 +127,7 @@ func runPlanConcurrently(m PaperModel, workers int) (sim.WorstCase, error) {
 
 // TestCheckpointResumeEquivalence is the acceptance criterion for
 // resume: a sweep cancelled after k completed shards and rerun with
-// the same checkpoint file produces a WorstCase bit-for-bit equal to
+// the same checkpoint store produces a WorstCase bit-for-bit equal to
 // an uninterrupted run, for every family x tier x symmetry mode. The
 // resumed run must actually restore shards (not recompute from zero),
 // and may replay them under a different worker count.
@@ -149,7 +149,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("tier=%v sym=%v: SearchModel: %v", tier, sym, err)
 					}
-					path := filepath.Join(t.TempDir(), "resume.ckpt")
+					path := filepath.Join(t.TempDir(), "resume")
 
 					// Interrupted run: serial, cancelled as soon as
 					// `interrupt` fresh shards completed.
@@ -209,7 +209,7 @@ func TestCheckpointCrossTierResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "crosstier.ckpt")
+	path := filepath.Join(t.TempDir(), "crosstier")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fresh := 0
@@ -258,7 +258,7 @@ func TestCheckpointTableToBatchResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "table-to-batch.ckpt")
+	path := filepath.Join(t.TempDir(), "table-to-batch")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fresh := 0
@@ -295,12 +295,12 @@ func TestCheckpointTableToBatchResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointDiscardsForeignFile: a checkpoint written by a
+// TestCheckpointDiscardsForeignFile: shard records written by a
 // different search (different fingerprint) or a different shard
-// decomposition must be discarded, not misread.
+// decomposition must never be restored.
 func TestCheckpointDiscardsForeignFile(t *testing.T) {
 	const L = 3
-	path := filepath.Join(t.TempDir(), "foreign.ckpt")
+	path := filepath.Join(t.TempDir(), "foreign")
 	space := sim.SearchSpace{L: L}
 
 	ringSpec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Cheap{}, L)
@@ -355,9 +355,22 @@ func TestCheckpointDiscardsForeignFile(t *testing.T) {
 	})
 }
 
-// TestCheckpointSurvivesTornWrite: garbage appended to a checkpoint (a
-// crash mid-append) drops the torn tail but keeps every complete
-// record.
+// shardRecord returns the path of shard i's record (of shards) in the
+// result store at dir.
+func shardRecord(t *testing.T, dir string, m PaperModel, i, shards int) string {
+	t.Helper()
+	fp, err := m.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sfp := ShardFingerprint(fp, i, shards)
+	return filepath.Join(dir, "objects", sfp[:2], sfp+".json")
+}
+
+// TestCheckpointSurvivesTornWrite: a shard record cut short (a torn
+// write) and a stray temp file (a writer that crashed before its
+// rename) cost only the torn shard, which recomputes; every complete
+// record is restored.
 func TestCheckpointSurvivesTornWrite(t *testing.T) {
 	const L = 3
 	spec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Cheap{}, L)
@@ -366,18 +379,21 @@ func TestCheckpointSurvivesTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "torn.ckpt")
+	path := filepath.Join(t.TempDir(), "torn")
 	if _, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	rec := shardRecord(t, path, PaperModel{Spec: spec, Space: space}, 2, 4)
+	data, err := os.ReadFile(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"shard": 17, "resu`); err != nil {
+	if err := os.WriteFile(rec, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := os.WriteFile(filepath.Join(filepath.Dir(rec), ".tmp-1234"), data[:len(data)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	restored := -1
 	got, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{},
@@ -389,11 +405,33 @@ func TestCheckpointSurvivesTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored != 4 {
-		t.Errorf("torn checkpoint restored %d complete shards, want 4", restored)
+	if restored != 3 {
+		t.Errorf("torn checkpoint restored %d complete shards, want 3", restored)
 	}
 	if got != want {
 		t.Errorf("result diverged after torn write:\nwant: %+v\ngot:  %+v", want, got)
+	}
+}
+
+// TestCheckpointPutFailureFailsSearch: a shard whose record cannot be
+// stored fails the search with the store's error, instead of
+// completing a search that could not be resumed.
+func TestCheckpointPutFailureFailsSearch(t *testing.T) {
+	const L = 3
+	m := PaperModel{Spec: specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Cheap{}, L), Space: sim.SearchSpace{L: L}}
+	path := filepath.Join(t.TempDir(), "blocked")
+	// A plain file where shard 0's fan-out directory belongs makes its
+	// Put fail (a permission bit would not stop a test run as root).
+	rec := shardRecord(t, path, m, 0, 4)
+	if err := os.MkdirAll(filepath.Dir(filepath.Dir(rec)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Dir(rec), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := SearchModelCheckpointed(m, Options{Workers: 1}, CheckpointConfig{Path: path, Shards: 4})
+	if err == nil || !strings.Contains(err.Error(), "resultstore: Put") {
+		t.Fatalf("err = %v, want the failed shard-record Put", err)
 	}
 }
 
@@ -401,7 +439,7 @@ func TestCheckpointSurvivesTornWrite(t *testing.T) {
 // rejects the graph has no content address to bind a checkpoint to,
 // but the generic tier can still execute it (schedules that never
 // explore); SearchModelCheckpointed must match SearchModel instead of
-// failing on the fingerprint.
+// failing on the fingerprint, and must create nothing at the path.
 func TestCheckpointedUnfingerprintableFallsBack(t *testing.T) {
 	// Eulerian rejects the star (odd degrees), but wait-only schedules
 	// never invoke it, so the generic tier executes them on any graph.
@@ -415,7 +453,7 @@ func TestCheckpointedUnfingerprintableFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SearchModel on wait-only schedules: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "unfp.ckpt")
+	path := filepath.Join(t.TempDir(), "unfp")
 	got, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{}, CheckpointConfig{Path: path, Shards: 3})
 	if err != nil {
 		t.Fatalf("SearchModelCheckpointed: %v (want the uncheckpointed fallback)", err)
@@ -430,8 +468,8 @@ func TestCheckpointedUnfingerprintableFallsBack(t *testing.T) {
 
 // TestCheckpointRejectsBitRot: a shard record that still parses as
 // JSON but whose bytes were damaged (checksum mismatch) must not be
-// restored — the resumed run recomputes it (and everything after it)
-// and still merges to the uninterrupted output.
+// restored — the resumed run recomputes that shard alone and still
+// merges to the uninterrupted output.
 func TestCheckpointRejectsBitRot(t *testing.T) {
 	const L = 3
 	spec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Fast{}, L)
@@ -440,26 +478,22 @@ func TestCheckpointRejectsBitRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "bitrot.ckpt")
+	path := filepath.Join(t.TempDir(), "bitrot")
 	if _, err := SearchModelCheckpointed(PaperModel{Spec: spec, Space: space}, Options{}, CheckpointConfig{Path: path, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	// Prepend a digit to the second shard's run count; the record stays
+	// valid JSON but its checksum no longer matches.
+	rec := shardRecord(t, path, PaperModel{Spec: spec, Space: space}, 1, 4)
+	data, err := os.ReadFile(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a digit inside the second shard line's result payload; the
-	// line stays valid JSON but its checksum no longer matches.
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 5 { // header + 4 shards
-		t.Fatalf("checkpoint has %d lines, want 5", len(lines))
-	}
-	rotted := strings.Replace(lines[2], `"Runs":`, `"Runs":9`, 1)
-	if rotted == lines[2] {
+	rotted := strings.Replace(string(data), `"Runs": `, `"Runs": 9`, 1)
+	if rotted == string(data) {
 		t.Fatal("bit rot did not apply; record layout changed?")
 	}
-	lines[2] = rotted
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(rec, []byte(rotted), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -473,8 +507,8 @@ func TestCheckpointRejectsBitRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored != 1 {
-		t.Errorf("restored %d shards, want 1 (everything from the rotted line on must recompute)", restored)
+	if restored != 3 {
+		t.Errorf("restored %d shards, want 3 (only the rotted record must recompute)", restored)
 	}
 	if got != want {
 		t.Errorf("result diverged after bit rot:\nwant: %+v\ngot:  %+v", want, got)
@@ -642,5 +676,38 @@ func TestSearchCached(t *testing.T) {
 	badSpec := specFor(graph.Path(4), explore.Eulerian{}, core.Cheap{}, L)
 	if _, cached, err := SearchModelCached(store, PaperModel{Spec: badSpec, Space: space}, Options{}); err == nil || cached {
 		t.Errorf("unfingerprintable search: cached=%v err=%v, want engine error", cached, err)
+	}
+}
+
+// shardTestFP is an arbitrary search fingerprint for the shard-key
+// tests.
+const shardTestFP = "f1e2e3d4c5b6a7980011223344556677f1e2e3d4c5b6a7980011223344556677"
+
+// TestShardFingerprintGolden pins the shard key: rdvd coordinators and
+// workers have stored shard records under it, and a checkpointed
+// search reads them back, so any change to the derivation orphans
+// every stored shard.
+func TestShardFingerprintGolden(t *testing.T) {
+	const want = "2575283be11a7602246c145556f420bc8859cc992dafceba5549f790b57666a7"
+	if got := ShardFingerprint(shardTestFP, 0, 32); got != want {
+		t.Errorf("ShardFingerprint(shardTestFP, 0, 32) = %s, want %s", got, want)
+	}
+}
+
+// TestShardFingerprintBinds: the shard cache key separates shards,
+// decompositions and searches.
+func TestShardFingerprintBinds(t *testing.T) {
+	base := ShardFingerprint(shardTestFP, 0, 32)
+	for name, other := range map[string]string{
+		"shard":       ShardFingerprint(shardTestFP, 1, 32),
+		"shard-count": ShardFingerprint(shardTestFP, 0, 16),
+		"search":      ShardFingerprint(strings.Repeat("00", 32), 0, 32),
+	} {
+		if other == base {
+			t.Errorf("%s: fingerprint did not change", name)
+		}
+	}
+	if len(base) != 64 {
+		t.Errorf("fingerprint length %d, want 64 hex chars", len(base))
 	}
 }

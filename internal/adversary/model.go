@@ -159,7 +159,7 @@ func planFromModel(m model.Model) (*searchPlan, error) {
 
 // SearchModel runs the adversary over any model and returns the worst
 // time and cost found. It is the engine's one fan-out driver with no
-// checkpoint file and one shard per resolved worker — contiguous
+// checkpoint store and one shard per resolved worker — contiguous
 // slices of the label-pair axis, folded in shard order with the
 // strictly-greater merge — so output is bit-for-bit identical for
 // every worker count: witnesses are the first configurations in

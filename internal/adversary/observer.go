@@ -2,7 +2,7 @@ package adversary
 
 // This file is the engine's observability seam. A SearchObserver is a
 // struct of optional callbacks the shard driver fires at its stage
-// boundaries — plan compilation, shard execution, checkpoint appends,
+// boundaries — plan compilation, shard execution, shard-record Puts,
 // merge — so callers (the serve layer's tracing) can attribute time to
 // engine phases without the engine importing a tracing package or
 // touching anything that feeds the search fingerprint: observers hang
@@ -45,17 +45,17 @@ type SearchObserver struct {
 	// PlanReady fires once, after plan compilation succeeds.
 	PlanReady func(PlanInfo)
 	// ShardsRestored fires once before execution with the number of
-	// shards restored from the checkpoint file (possibly zero).
+	// shards restored from the checkpoint store (possibly zero).
 	ShardsRestored func(restored, total int)
 	// ShardStarted/ShardFinished bracket each executed (not restored)
 	// shard. runs is the shard's simulation-run count (0 on error).
 	// Shards run concurrently, so these interleave.
 	ShardStarted  func(shard, shards int)
 	ShardFinished func(shard, shards, runs int, err error)
-	// CheckpointAppendStarted/Finished bracket each durable checkpoint
-	// record append (fired only when checkpointing is active).
-	CheckpointAppendStarted  func(shard int)
-	CheckpointAppendFinished func(shard int, err error)
+	// StorePutStarted/Finished bracket each executed shard's durable
+	// resultstore.Put (fired only when CheckpointConfig.Path is set).
+	StorePutStarted  func(shard int)
+	StorePutFinished func(shard int, err error)
 	// MergeStarted/MergeFinished bracket the final in-order fold.
 	MergeStarted  func(shards int)
 	MergeFinished func()

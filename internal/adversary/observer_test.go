@@ -13,7 +13,7 @@ import (
 
 // TestSearchObserverEvents pins the observer contract: plan info fires
 // first, every non-restored shard gets a start/finish pair with a
-// positive run count, checkpoint appends bracket only executed shards,
+// positive run count, shard-record Puts bracket only executed shards,
 // the merge brackets fire exactly once — and observing changes nothing
 // about the result.
 func TestSearchObserverEvents(t *testing.T) {
@@ -68,12 +68,12 @@ func TestSearchObserverEvents(t *testing.T) {
 				t.Errorf("shard %d error: %v", shard, err)
 			}
 		},
-		CheckpointAppendStarted: func(shard int) {
+		StorePutStarted: func(shard int) {
 			mu.Lock()
 			defer mu.Unlock()
 			appends[shard]++
 		},
-		CheckpointAppendFinished: func(shard int, err error) {
+		StorePutFinished: func(shard int, err error) {
 			if err != nil {
 				t.Errorf("append %d error: %v", shard, err)
 			}
@@ -93,7 +93,7 @@ func TestSearchObserverEvents(t *testing.T) {
 		},
 	}
 
-	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "store")
 	got, err := SearchModelCheckpointed(m, opts, CheckpointConfig{Shards: 4, Path: path, Observer: obs})
 	if err != nil {
 		t.Fatal(err)

@@ -54,10 +54,12 @@ type Options struct {
 	// are identical with or without the store (a hit returns the very
 	// WorstCase a cold run would compute).
 	Store *resultstore.Store
-	// CheckpointDir, when non-empty, checkpoints every engine-backed
-	// sweep into this directory (one file per sweep fingerprint): a
-	// cancelled run resumes from completed shards with bit-for-bit
-	// identical merged output.
+	// CheckpointDir, when non-empty, is a result-store directory that
+	// checkpoints every engine-backed sweep: each completed shard is
+	// stored there as a record keyed by adversary.ShardFingerprint, a
+	// cancelled run resumes from those records with bit-for-bit
+	// identical merged output, and a sweep's records are deleted once
+	// its merged result is in hand (and in Store, when set).
 	CheckpointDir string
 }
 

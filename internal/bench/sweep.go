@@ -3,14 +3,13 @@ package bench
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"rendezvous/examples/scenarios"
 	"rendezvous/internal/adversary"
 	"rendezvous/internal/core"
 	"rendezvous/internal/model"
+	"rendezvous/internal/resultstore"
 	"rendezvous/internal/scenario"
 	"rendezvous/internal/sim"
 )
@@ -44,18 +43,24 @@ func (o Options) search(m model.Model) (sim.WorstCase, error) {
 			return wc, nil
 		}
 	}
-	ckpt := filepath.Join(o.CheckpointDir, fp+".ckpt")
 	wc, err := adversary.SearchModelCheckpointed(m, opts,
-		adversary.CheckpointConfig{Path: ckpt, Fingerprint: fp})
+		adversary.CheckpointConfig{Path: o.CheckpointDir, Fingerprint: fp})
 	if err != nil {
 		return sim.WorstCase{}, err
 	}
-	// The checkpoint is crash recovery, not a cache (that is the
-	// store's job): once the search completed, drop it so the resume
-	// directory does not accumulate one stale file per configuration.
-	os.Remove(ckpt)
 	if o.Store != nil {
 		_ = o.Store.Put(fp, wc) // best-effort: a miss next time recomputes
+	}
+	// The shard records are crash recovery, not a cache (that is the
+	// store's job): once the merged result is stored, drop them so the
+	// checkpoint directory does not accumulate one set per search.
+	// Best-effort: a record left behind costs disk, never a result.
+	if ckpt, err := resultstore.Open(o.CheckpointDir); err == nil {
+		if num, err := adversary.ModelPlanShards(m, 0); err == nil {
+			for i := 0; i < num; i++ {
+				_ = ckpt.Delete(adversary.ShardFingerprint(fp, i, num))
+			}
+		}
 	}
 	return wc, nil
 }

@@ -22,8 +22,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -84,16 +82,6 @@ type ShardResponse struct {
 	Spans []trace.SpanRecord `json:"spans,omitempty"`
 }
 
-// ShardFingerprint returns the store key of one shard's partial
-// result: the search fingerprint bound to the shard's position in the
-// fixed decomposition. Both the coordinator and the workers cache
-// shard results under this key, so a re-dispatched or re-requested
-// shard is answered without recomputation.
-func ShardFingerprint(fingerprint string, shard, shards int) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("shard\x00%s\x00%d\x00%d", fingerprint, shard, shards)))
-	return hex.EncodeToString(sum[:])
-}
-
 // Defaults for Config's zero values.
 const (
 	// DefaultShardTimeout bounds one shard attempt on one peer. A peer
@@ -136,8 +124,8 @@ type Config struct {
 	// of serving one shard at a time.
 	PerPeerInflight int
 	// Store, when non-nil, caches shard results under their
-	// ShardFingerprint: restored shards are not dispatched at all, and
-	// computed shards are written back best-effort.
+	// adversary.ShardFingerprint: restored shards are not dispatched at
+	// all, and computed shards are written back best-effort.
 	Store *resultstore.Store
 	// AuthToken, when non-empty, is presented as a bearer token on
 	// every shard request and health probe — required when the worker
@@ -383,7 +371,7 @@ func (d *Dispatcher) Search(ctx context.Context, search json.RawMessage, fingerp
 	var todo []int
 	for i := 0; i < shards; i++ {
 		if d.store != nil {
-			if wc, ok := d.store.Get(ShardFingerprint(fingerprint, i, shards)); ok {
+			if wc, ok := d.store.Get(adversary.ShardFingerprint(fingerprint, i, shards)); ok {
 				st.results[i] = wc
 				continue
 			}
@@ -486,7 +474,7 @@ func (d *Dispatcher) Search(ctx context.Context, search json.RawMessage, fingerp
 					}
 					unusable = 0
 					if d.store != nil {
-						_ = d.store.Put(ShardFingerprint(fingerprint, shard, shards), wc) // best-effort
+						_ = d.store.Put(adversary.ShardFingerprint(fingerprint, shard, shards), wc) // best-effort
 					}
 					if st.complete(shard, wc) {
 						cancel() // wake peers blocked on the queue or in probe backoff

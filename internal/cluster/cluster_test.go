@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,7 +51,12 @@ type fakeWorker struct {
 	// failure.
 	breakFirst atomic.Int32
 	inject     func(w http.ResponseWriter, r *http.Request)
-	ts         *httptest.Server
+	// hold, when non-nil, delays every shard request until it is closed
+	// or the request is cancelled (the dispatcher's per-shard deadline
+	// bounds the wait, so a release that never comes fails the caller's
+	// assertions rather than hanging the test).
+	hold <-chan struct{}
+	ts   *httptest.Server
 }
 
 func newFakeWorker(t *testing.T) *fakeWorker {
@@ -66,6 +72,12 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	})
 	mux.HandleFunc("/shard", func(w http.ResponseWriter, r *http.Request) {
 		fw.shardCalls.Add(1)
+		if fw.hold != nil {
+			select {
+			case <-fw.hold:
+			case <-r.Context().Done():
+			}
+		}
 		var req ShardRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -179,7 +191,16 @@ func TestFailureModesRequeue(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			flaky, good := newFakeWorker(t), newFakeWorker(t)
-			flaky.inject = tc.inject
+			// good holds its shards until the injection has fired;
+			// otherwise it could drain every shard before flaky takes
+			// one, and no attempt would fail.
+			injected := make(chan struct{})
+			var once sync.Once
+			flaky.inject = func(w http.ResponseWriter, r *http.Request) {
+				once.Do(func() { close(injected) })
+				tc.inject(w, r)
+			}
+			good.hold = injected
 			flaky.breakFirst.Store(1) // fail exactly one shard attempt, then behave
 			d := dispatcher(t, Config{ShardTimeout: 250 * time.Millisecond}, flaky, good)
 			wc, err := d.Search(context.Background(), json.RawMessage(`{}`), testFP, shards, nil)
@@ -307,7 +328,7 @@ func TestShardStoreCache(t *testing.T) {
 	const shards = 6
 	// Pre-seed half the shards.
 	for i := 0; i < shards; i += 2 {
-		if err := store.Put(ShardFingerprint(testFP, i, shards), scriptedResult(i)); err != nil {
+		if err := store.Put(adversary.ShardFingerprint(testFP, i, shards), scriptedResult(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,24 +407,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if got := d.Peers(); len(got) != 1 || got[0] != "http://a:1" {
 		t.Errorf("normalized peers = %v", got)
-	}
-}
-
-// TestShardFingerprintBinds: the shard cache key separates shards,
-// decompositions and searches.
-func TestShardFingerprintBinds(t *testing.T) {
-	base := ShardFingerprint(testFP, 0, 32)
-	for name, other := range map[string]string{
-		"shard":       ShardFingerprint(testFP, 1, 32),
-		"shard-count": ShardFingerprint(testFP, 0, 16),
-		"search":      ShardFingerprint(strings.Repeat("00", 32), 0, 32),
-	} {
-		if other == base {
-			t.Errorf("%s: fingerprint did not change", name)
-		}
-	}
-	if len(base) != 64 {
-		t.Errorf("fingerprint length %d, want 64 hex chars", len(base))
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 )
 
 // atomicwritePackages is the durability layer: the on-disk result
-// store and the checkpoint writer in the engine package.
+// store, and the engine package whose checkpoint layer persists shards
+// through it.
 var atomicwritePackages = []string{
 	"internal/resultstore",
 	"internal/adversary",
@@ -26,12 +27,12 @@ func NewAtomicwrite(scope []string) *Analyzer {
 A file that readers may observe must never be created in place: a
 crash mid-write leaves a torn record at its final path, and a rename
 of an unsynced temp file can publish a name whose bytes are still in
-the page cache. In the store and checkpoint packages every creation
-must go through os.CreateTemp (write, Sync, Close, os.Rename), every
+the page cache. In the store and engine packages every creation must
+go through os.CreateTemp (write, Sync, Close, os.Rename), every
 os.Rename must be preceded by a Sync in the same function, and
-reopening is only allowed in append mode (the checkpoint log, which
-syncs per record). os.Create, os.WriteFile and os.OpenFile with
-O_CREATE are flagged unconditionally.
+reopening an existing file is only allowed in append mode. os.Create,
+os.WriteFile and os.OpenFile with O_CREATE are flagged
+unconditionally.
 
 The Sync must be on the renamed file itself: when the rename source
 is spelled f.Name() (or a variable assigned from it), only a Sync on

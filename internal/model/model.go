@@ -4,10 +4,10 @@
 // configuration space, a per-shard executor over that enumeration, and
 // the canonical material for its content-addressed fingerprint. The
 // engine (internal/adversary) supplies what is model-independent —
-// worker fan-out, fixed shard decomposition, checkpoint/resume,
-// cluster dispatch, result-store caching — and dispatches over this
-// contract, so a new model inherits all of it by implementing four
-// methods.
+// worker fan-out, fixed shard decomposition, checkpoint/resume through
+// per-shard result-store records, cluster dispatch, result-store
+// caching — and dispatches over this contract, so a new model inherits
+// all of it by implementing four methods.
 //
 // # What a Model must guarantee
 //

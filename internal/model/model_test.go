@@ -424,7 +424,7 @@ func TestDynamicCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/dyn.ckpt"
+	path := t.TempDir() + "/dyn"
 	var restored int
 	cfg := adversary.CheckpointConfig{Path: path, Shards: 3}
 	got, err := adversary.SearchModelCheckpointed(m, adversary.Options{}, cfg)

@@ -273,7 +273,7 @@ func (s *Store) GC(opts GCOptions) (int, error) {
 			valid = append(valid, e)
 			continue
 		}
-		if s.removeRecord(e.Fingerprint) {
+		if s.Delete(e.Fingerprint) == nil {
 			removed++
 		}
 	}
@@ -285,7 +285,7 @@ func (s *Store) GC(opts GCOptions) (int, error) {
 			return valid[i].Fingerprint < valid[j].Fingerprint
 		})
 		for _, e := range valid[:len(valid)-opts.MaxEntries] {
-			if s.removeRecord(e.Fingerprint) {
+			if s.Delete(e.Fingerprint) == nil {
 				removed++
 			}
 		}
@@ -293,10 +293,14 @@ func (s *Store) GC(opts GCOptions) (int, error) {
 	return removed, nil
 }
 
-func (s *Store) removeRecord(fp string) bool {
+// Delete removes the record stored under the fingerprint; an absent
+// record is an error (fs.ErrNotExist). The removal is not synced: a
+// crash may bring the record back, which costs a disk entry, never a
+// wrong answer, since a record's content is fixed by its fingerprint.
+func (s *Store) Delete(fp string) error {
 	path, err := s.path(fp)
 	if err != nil {
-		return false
+		return err
 	}
-	return os.Remove(path) == nil
+	return os.Remove(path)
 }

@@ -2,6 +2,8 @@ package resultstore
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,6 +65,31 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("round trip diverged:\nput: %+v\ngot: %+v", want, got)
+	}
+}
+
+// TestDelete: a deleted record reads as a miss, and deleting it again
+// (or an unaddressable fingerprint) is an error.
+func TestDelete(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := mustFingerprint(t, testKey(t, sim.SearchSpace{L: 4}))
+	if err := store.Put(fp, sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Delete(fp); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Get(fp); ok {
+		t.Error("Get after Delete: want miss")
+	}
+	if err := store.Delete(fp); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("second Delete: err = %v, want fs.ErrNotExist", err)
+	}
+	if err := store.Delete("a"); err == nil {
+		t.Error("Delete of a too-short fingerprint: want error")
 	}
 }
 

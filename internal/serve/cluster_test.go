@@ -39,7 +39,15 @@ func newWorker(t testing.TB, store *resultstore.Store) *httptest.Server {
 // several shards in a row, however fast the healthy one would be.
 func heldWorker(t testing.TB, release <-chan struct{}) *httptest.Server {
 	t.Helper()
-	srv, err := New(Config{MaxConcurrent: 4, Workers: 1})
+	return heldWorkerCfg(t, release, Config{MaxConcurrent: 4, Workers: 1})
+}
+
+// heldWorkerCfg is heldWorker with the inner daemon's configuration in
+// the caller's hands (the trace tests give the held worker its own
+// tracer and instance name).
+func heldWorkerCfg(t testing.TB, release <-chan struct{}, cfg Config) *httptest.Server {
+	t.Helper()
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,7 +294,7 @@ type StreamEvent struct {
 type searchFunc func(ctx context.Context, m model.Model, opts adversary.Options, progress func(completed, total int), obs adversary.SearchObserver) (sim.WorstCase, error)
 
 // engineSearch is the production searchFunc: the checkpointed engine
-// driven for shard-level progress (without a checkpoint file — the
+// driven for shard-level progress (without a checkpoint store — the
 // store persists finished results; the daemon's unit of recovery is
 // the request).
 func engineSearch(ctx context.Context, m model.Model, opts adversary.Options, progress func(completed, total int), obs adversary.SearchObserver) (sim.WorstCase, error) {
@@ -1124,9 +1124,10 @@ func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, r
 // plan compilation is the first thing SearchModelCheckpointed does — and
 // closes when PlanReady reports the decomposition; each executed shard
 // gets a "shard.exec" span tagged with its index, tier and run count;
-// checkpoint appends and the final merge get their own spans. With no
-// span in ctx the zero observer is returned and the engine runs
-// unobserved.
+// the final merge gets its own span. The daemon never checkpoints (its
+// searches set no CheckpointConfig.Path), so there are no shard-record
+// Puts to span. With no span in ctx the zero observer is returned and
+// the engine runs unobserved.
 func traceObserver(ctx context.Context) adversary.SearchObserver {
 	if trace.FromContext(ctx) == nil {
 		return adversary.SearchObserver{}
@@ -1136,7 +1137,6 @@ func traceObserver(ctx context.Context) adversary.SearchObserver {
 		tier      string
 		planSpan  *trace.Span
 		shardRuns = make(map[int]*trace.Span)
-		ckptRuns  = make(map[int]*trace.Span)
 		mergeSpan *trace.Span
 	)
 	planSpan = trace.StartLeaf(ctx, "plan")
@@ -1170,22 +1170,6 @@ func traceObserver(ctx context.Context) adversary.SearchObserver {
 			delete(shardRuns, shard)
 			mu.Unlock()
 			sp.SetAttr(trace.Int("runs", runs))
-			if err != nil {
-				sp.SetAttr(trace.String("error", err.Error()))
-			}
-			sp.End()
-		},
-		CheckpointAppendStarted: func(shard int) {
-			sp := trace.StartLeaf(ctx, "checkpoint.append", trace.Int("shard", shard))
-			mu.Lock()
-			ckptRuns[shard] = sp
-			mu.Unlock()
-		},
-		CheckpointAppendFinished: func(shard int, err error) {
-			mu.Lock()
-			sp := ckptRuns[shard]
-			delete(ckptRuns, shard)
-			mu.Unlock()
 			if err != nil {
 				sp.SetAttr(trace.String("error", err.Error()))
 			}
@@ -1308,7 +1292,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	m := metaOf(r)
 	m.fingerprint = fp
 	root.SetAttr(trace.String("fingerprint", fp), trace.Int("shard", sreq.Shard), trace.Int("shards", sreq.Shards))
-	sfp := cluster.ShardFingerprint(fp, sreq.Shard, sreq.Shards)
+	sfp := adversary.ShardFingerprint(fp, sreq.Shard, sreq.Shards)
 	if s.store != nil {
 		cacheSpan := trace.StartLeaf(r.Context(), "cache")
 		wc, ok := s.store.Get(sfp)

@@ -16,22 +16,20 @@ import (
 
 // TestClusterTraceSpansBothDaemons is the distributed-tracing
 // acceptance test: a coordinator with two traced workers — one killed
-// mid-search — serves a /search, and the coordinator's tracer ends up
+// mid-search, the other held until the kill — serves a /search, and the coordinator's tracer ends up
 // holding ONE trace whose spans cover both daemons (distinct
 // "instance" attributes), with every span's parent inside the trace
 // and the per-phase breakdown summing to the root span within 10%.
 func TestClusterTraceSpansBothDaemons(t *testing.T) {
 	coordTracer := trace.New(trace.Config{})
 
-	w1srv, err := New(Config{MaxConcurrent: 4, Workers: 1,
-		Tracer: trace.New(trace.Config{}), Instance: "worker-1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := httptest.NewServer(w1srv.Handler())
-	defer w1.Close()
+	// worker-1 holds its /shard requests until the kill has fired, so
+	// it cannot drain the queue before worker-2 comes back for the
+	// second shard it dies on.
 	dying := newKillableWorkerCfg(t, 1, Config{MaxConcurrent: 4, Workers: 1,
 		Tracer: trace.New(trace.Config{}), Instance: "worker-2"})
+	w1 := heldWorkerCfg(t, dying.killed, Config{MaxConcurrent: 4, Workers: 1,
+		Tracer: trace.New(trace.Config{}), Instance: "worker-1"})
 
 	store, err := resultstore.Open(t.TempDir())
 	if err != nil {

@@ -271,8 +271,8 @@ func SearchWith(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, spa
 
 // Persistence (internal/resultstore): worst-case values are immutable
 // once computed, so searches are cached on disk under a canonical
-// content fingerprint and long sweeps checkpoint per shard. cmd/rdvd
-// serves this store over HTTP.
+// content fingerprint, and long sweeps checkpoint per shard as records
+// of the same store format. cmd/rdvd serves this store over HTTP.
 type (
 	// Store is the content-addressed on-disk cache of WorstCase
 	// results: versioned, checksummed JSON records written atomically;
@@ -280,8 +280,12 @@ type (
 	Store = resultstore.Store
 	// StoreEntry is one record in a Store's index.
 	StoreEntry = resultstore.Entry
-	// CheckpointConfig tunes SearchCheckpointed: the checkpoint file,
-	// the shard granularity, and an optional progress callback.
+	// CheckpointConfig tunes SearchCheckpointed: the checkpoint
+	// location, the shard granularity, and an optional progress
+	// callback. Its Path names a result-store directory (OpenStore's
+	// format), not a file: each completed shard is stored there as one
+	// record keyed by the search fingerprint, the shard index and the
+	// shard count.
 	CheckpointConfig = adversary.CheckpointConfig
 )
 
@@ -306,11 +310,14 @@ func SearchCached(store *Store, g *Graph, ex Explorer, scheduleFor func(label in
 }
 
 // SearchCheckpointed is Search with shard-granular checkpoint/resume:
-// completed shards are appended to cfg.Path as they finish, and a
-// rerun of the same search resumes from them with bit-for-bit
-// identical merged output (for every worker count, interruption point
-// and tier). With an empty cfg.Path it degrades to a plain sharded
-// search that reports shard-level progress via cfg.Progress.
+// completed shards are stored as records in the result store at
+// cfg.Path as they finish, and a rerun of the same search resumes from
+// them with bit-for-bit identical merged output (for every worker
+// count, interruption point and tier); a damaged record reads as a
+// miss, so only its shard recomputes. The records stay in the store
+// after the search completes. With an empty cfg.Path it degrades to a
+// plain sharded search that reports shard-level progress via
+// cfg.Progress.
 func SearchCheckpointed(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace, opts SearchOptions, cfg CheckpointConfig) (WorstCase, error) {
 	return adversary.SearchModelCheckpointed(paperModel(g, ex, scheduleFor, space, opts), opts.engine(), cfg)
 }
