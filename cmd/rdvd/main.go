@@ -38,7 +38,9 @@
 //
 // Observability: tracing is on by default (-trace); every /search and
 // /shard gets a span tree (auth, rate check, queue wait, cache, plan,
-// per-shard execution, merge, store write), announced to the client in
+// per-shard execution, merge, store write — the engine opens its plan,
+// shard.exec and merge spans itself from the request context),
+// announced to the client in
 // the X-Rdv-Trace response header and joined across daemons via the
 // W3C traceparent header on shard dispatch. Recent traces live in an
 // in-memory ring (-trace-ring) and optionally an fsync'd JSONL file

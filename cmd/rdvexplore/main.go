@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
@@ -55,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	g, err := buildGraph(*graphKind, *n, *seed)
+	g, err := graph.ByName(*graphKind, *n, *seed)
 	if err != nil {
 		return usageErr("%v", err)
 	}
@@ -106,61 +105,4 @@ func renderWalk(nodes []int, limit int) string {
 		parts = append(parts, fmt.Sprint(v))
 	}
 	return strings.Join(parts, "→")
-}
-
-// buildGraph range-checks -n per family before calling the generators
-// (which panic on out-of-range sizes), exactly as rdvsim does.
-func buildGraph(kind string, n int, seed int64) (*graph.Graph, error) {
-	switch kind {
-	case "ring":
-		if n < 3 {
-			return nil, fmt.Errorf("-graph ring: need -n >= 3 (got %d)", n)
-		}
-		return graph.OrientedRing(n), nil
-	case "path":
-		if n < 2 {
-			return nil, fmt.Errorf("-graph path: need -n >= 2 (got %d)", n)
-		}
-		return graph.Path(n), nil
-	case "star":
-		if n < 2 {
-			return nil, fmt.Errorf("-graph star: need -n >= 2 (got %d)", n)
-		}
-		return graph.Star(n), nil
-	case "tree":
-		if n < 2 {
-			return nil, fmt.Errorf("-graph tree: need -n >= 2 (got %d)", n)
-		}
-		return graph.RandomTree(n, rand.New(rand.NewSource(seed))), nil
-	case "grid":
-		if n < 2 {
-			return nil, fmt.Errorf("-graph grid: need -n >= 2 (got %d)", n)
-		}
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return graph.Grid(side, side), nil
-	case "torus":
-		if n < 2 {
-			return nil, fmt.Errorf("-graph torus: need -n >= 2 (got %d)", n)
-		}
-		side := 3
-		for side*side < n {
-			side++
-		}
-		return graph.Torus(side, side), nil
-	case "hypercube":
-		if n < 1 || n > 20 {
-			return nil, fmt.Errorf("-graph hypercube: need 1 <= -n <= 20 (got %d)", n)
-		}
-		return graph.Hypercube(n), nil
-	case "complete":
-		if n < 2 {
-			return nil, fmt.Errorf("-graph complete: need -n >= 2 (got %d)", n)
-		}
-		return graph.Complete(n), nil
-	default:
-		return nil, fmt.Errorf("unknown graph %q", kind)
-	}
 }

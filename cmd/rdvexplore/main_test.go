@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"rendezvous/internal/graph"
 )
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -29,7 +31,7 @@ func TestBuildGraphKinds(t *testing.T) {
 		if kind == "hypercube" {
 			n = 3
 		}
-		g, err := buildGraph(kind, n, 7)
+		g, err := graph.ByName(kind, n, 7)
 		if err != nil {
 			t.Errorf("%s: %v", kind, err)
 			continue
@@ -38,7 +40,7 @@ func TestBuildGraphKinds(t *testing.T) {
 			t.Errorf("%s: %v", kind, err)
 		}
 	}
-	if _, err := buildGraph("zzz", 5, 1); err == nil {
+	if _, err := graph.ByName("zzz", 5, 1); err == nil {
 		t.Error("unknown kind: want error")
 	}
 }

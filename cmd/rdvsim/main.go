@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"rendezvous/internal/core"
@@ -91,9 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageErr("-a and -b are both %d: the model requires distinct labels", *labelA)
 	}
 
-	g, err := buildGraph(*graphKind, *n, *seed)
+	g, err := graph.ByName(*graphKind, *n, *seed)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
+		fmt.Fprintf(stderr, "rdvsim: %v\n", err)
 		return 2
 	}
 	ex, err := pickExplorer(*expName, g)
@@ -156,61 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "cost        %d traversals (%.2f·E); A moved %d, B moved %d\n",
 		res.Cost(), float64(res.Cost())/float64(e), res.CostA, res.CostB)
 	return 0
-}
-
-func buildGraph(kind string, n int, seed int64) (*graph.Graph, error) {
-	switch kind {
-	case "ring":
-		if n < 3 {
-			return nil, fmt.Errorf("rdvsim: -graph ring: need -n >= 3 (got %d)", n)
-		}
-		return graph.OrientedRing(n), nil
-	case "path":
-		if n < 2 {
-			return nil, fmt.Errorf("rdvsim: -graph path: need -n >= 2 (got %d)", n)
-		}
-		return graph.Path(n), nil
-	case "star":
-		if n < 2 {
-			return nil, fmt.Errorf("rdvsim: -graph star: need -n >= 2 (got %d)", n)
-		}
-		return graph.Star(n), nil
-	case "tree":
-		if n < 2 {
-			return nil, fmt.Errorf("rdvsim: -graph tree: need -n >= 2 (got %d)", n)
-		}
-		return graph.RandomTree(n, rand.New(rand.NewSource(seed))), nil
-	case "grid":
-		if n < 2 {
-			return nil, fmt.Errorf("rdvsim: -graph grid: need -n >= 2 (got %d)", n)
-		}
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return graph.Grid(side, side), nil
-	case "torus":
-		if n < 2 {
-			return nil, fmt.Errorf("rdvsim: -graph torus: need -n >= 2 (got %d)", n)
-		}
-		side := 3
-		for side*side < n {
-			side++
-		}
-		return graph.Torus(side, side), nil
-	case "hypercube":
-		if n < 1 || n > 20 {
-			return nil, fmt.Errorf("rdvsim: -graph hypercube: need 1 <= -n <= 20 (got %d)", n)
-		}
-		return graph.Hypercube(n), nil
-	case "complete":
-		if n < 2 {
-			return nil, fmt.Errorf("rdvsim: -graph complete: need -n >= 2 (got %d)", n)
-		}
-		return graph.Complete(n), nil
-	default:
-		return nil, fmt.Errorf("rdvsim: unknown graph %q", kind)
-	}
 }
 
 // pickExplorer and pickAlgorithm resolve names through the shared

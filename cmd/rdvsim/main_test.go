@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"rendezvous/internal/graph"
 )
 
 // TestFlagValidation: model-level mistakes — a negative delay, an
@@ -95,7 +97,7 @@ func TestBuildGraph(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.kind, func(t *testing.T) {
-			g, err := buildGraph(tt.kind, tt.n, 1)
+			g, err := graph.ByName(tt.kind, tt.n, 1)
 			if tt.wantErr {
 				if err == nil {
 					t.Fatal("want error")
@@ -116,7 +118,7 @@ func TestBuildGraph(t *testing.T) {
 }
 
 func TestPickExplorer(t *testing.T) {
-	g, err := buildGraph("ring", 8, 1)
+	g, err := graph.ByName("ring", 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

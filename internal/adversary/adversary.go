@@ -72,6 +72,14 @@
 //     FuzzSymmetryEquivalence). PaperModel.Symmetry selects
 //     Auto/Off/Forced.
 //
+//   - Tracing. Options.Context is the engine's one instrumentation
+//     seam: under a context carrying an internal/trace span, the
+//     search opens leaf spans beneath it for plan compilation
+//     ("plan"), every executed shard ("shard.exec"), every stored
+//     shard record ("store.put") and the final fold ("merge"). No
+//     fingerprint reads the context, so tracing never changes a
+//     result, and an untraced search builds no span at all.
+//
 // Package sim cannot host this dispatch itself because ringsim and
 // meetoracle depend on sim's schedule types; adversary sits above all
 // three and is what internal/bench, cmd/rdvbench and the public facade

@@ -11,6 +11,7 @@ import (
 	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
 	"rendezvous/internal/sim"
+	"rendezvous/internal/trace"
 )
 
 // This file is the engine's one fan-out driver and its checkpoint/
@@ -50,17 +51,11 @@ type CheckpointConfig struct {
 	// very search: a wrong value would make resume miss or, worse,
 	// restore another search's shards. Empty means compute it here.
 	Fingerprint string
-	// Progress, when non-nil, is called after every completed shard
-	// with the number of completed shards (including ones restored from
-	// the store, reported once up front) and the total. Calls are
-	// serialized; the callback must not block for long.
+	// Progress, when non-nil, is called once up front with the number
+	// of shards restored from the store (possibly zero) and the total,
+	// then after every completed shard with the running count. Calls
+	// are serialized; the callback must not block for long.
 	Progress func(completed, total int)
-	// Observer receives stage-boundary events (plan ready, per-shard
-	// start/finish, shard-record Puts, merge) for tracing. Like
-	// Progress it lives here rather than in Options, so observation can
-	// never perturb the search fingerprint. The zero value observes
-	// nothing.
-	Observer SearchObserver
 }
 
 // searchPlan is a search lowered to shard form: the expanded
@@ -243,11 +238,39 @@ func ShardFingerprint(fingerprint string, shard, shards int) string {
 // address to key records by) runs without persistence, exactly as
 // SearchModel would run it, and leaves cfg.Path untouched.
 func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
-	plan, err := NewModelPlan(m, cfg.Shards)
+	plan, err := tracePlan(opts.Context, func() (*Plan, error) { return NewModelPlan(m, cfg.Shards) })
 	if err != nil {
 		return sim.WorstCase{}, err
 	}
 	return runPlan(m, plan, opts, cfg)
+}
+
+// tracePlan builds a search's plan under a "plan" span of the trace
+// ctx carries, recording the decomposition the plan fixed.
+func tracePlan(ctx context.Context, build func() (*Plan, error)) (*Plan, error) {
+	span := trace.StartLeaf(ctx, "plan")
+	defer span.End()
+	plan, err := build()
+	if err == nil && span != nil {
+		info := plan.Info()
+		span.SetAttr(
+			trace.String("tier", info.Tier.String()),
+			trace.Int("shards", info.Shards),
+			trace.Int("labelPairs", info.LabelPairs),
+			trace.Int("startPairs", info.StartPairs),
+			trace.Int("delays", info.Delays),
+		)
+	}
+	return plan, err
+}
+
+// endSpan ends a driver span, recording err, if any, as its "error"
+// attribute.
+func endSpan(span *trace.Span, err error) {
+	if err != nil {
+		span.SetAttr(trace.String("error", err.Error()))
+	}
+	span.End()
 }
 
 // runPlan is the engine's one fan-out driver. It restores the shards
@@ -258,12 +281,19 @@ func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) 
 // run to completion: the reported error is then always the lowest
 // failing shard's — the serial scan's first error — however the shards
 // were scheduled. A failed shard-record Put fails its shard.
+//
+// Under a traced opts.Context every executed shard gets a "shard.exec"
+// span, every shard-record Put a "store.put" span and the final fold a
+// "merge" span, all children of the context's span.
 func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
 	num := plan.Shards()
-	obs := cfg.Observer
-	if obs.PlanReady != nil {
-		obs.PlanReady(plan.Info())
+	parent := opts.Context
+	if parent == nil {
+		parent = context.Background()
 	}
+	// Looked up once, so an untraced search builds no per-shard span
+	// attributes.
+	traced := trace.FromContext(parent) != nil
 
 	// Fingerprint before opening the store, so a search without a
 	// content address creates nothing at cfg.Path. Unfingerprintable
@@ -297,18 +327,11 @@ func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim
 		todo = append(todo, i)
 	}
 	completed := num - len(todo)
-	if obs.ShardsRestored != nil {
-		obs.ShardsRestored(completed, num)
-	}
 	if cfg.Progress != nil {
 		cfg.Progress(completed, num)
 	}
 
 	if len(todo) > 0 {
-		parent := opts.Context
-		if parent == nil {
-			parent = context.Background()
-		}
 		var (
 			mu       sync.Mutex
 			next     int
@@ -333,25 +356,27 @@ func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim
 					cancels[i] = cancel
 					mu.Unlock()
 
-					if obs.ShardStarted != nil {
-						obs.ShardStarted(i, num)
+					var span *trace.Span
+					if traced {
+						span = trace.StartLeaf(parent, "shard.exec", trace.Int("shard", i),
+							trace.Int("shards", num), trace.String("tier", plan.plan.tier.String()))
 					}
 					wc, err := plan.RunShard(ctx, i)
-					if obs.ShardFinished != nil {
-						runs := wc.Runs
-						if err != nil {
-							runs = 0
+					if span != nil {
+						runs := 0
+						if err == nil {
+							runs = wc.Runs
 						}
-						obs.ShardFinished(i, num, runs, err)
+						span.SetAttr(trace.Int("runs", runs))
+						endSpan(span, err)
 					}
 					if err == nil && store != nil {
-						if obs.StorePutStarted != nil {
-							obs.StorePutStarted(i)
+						var put *trace.Span
+						if traced {
+							put = trace.StartLeaf(parent, "store.put", trace.Int("shard", i))
 						}
 						err = store.Put(ShardFingerprint(fp, i, num), wc)
-						if obs.StorePutFinished != nil {
-							obs.StorePutFinished(i, err)
-						}
+						endSpan(put, err)
 					}
 					mu.Lock()
 					cancels[i] = nil
@@ -388,12 +413,8 @@ func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim
 		}
 	}
 
-	if obs.MergeStarted != nil {
-		obs.MergeStarted(num)
-	}
+	span := trace.StartLeaf(parent, "merge", trace.Int("shards", num))
 	merged := MergeShards(results)
-	if obs.MergeFinished != nil {
-		obs.MergeFinished()
-	}
+	span.End()
 	return merged, nil
 }

@@ -135,8 +135,8 @@ func (m PaperModel) checkTier() error {
 }
 
 // planFromModel lowers a compiled model onto the engine's internal
-// plan form. The tier name round-trips through ParseTier so plan
-// observers and the shard protocol keep their typed tier; a model
+// plan form. The tier name round-trips through ParseTier so the plan
+// span and the shard protocol keep their typed tier; a model
 // claiming an unknown tier is a compile error here, at the engine
 // boundary.
 func planFromModel(m model.Model) (*searchPlan, error) {
@@ -169,11 +169,17 @@ func planFromModel(m model.Model) (*searchPlan, error) {
 // symmetry and budgets are the model's own business (PaperModel
 // carries them as fields).
 func SearchModel(m model.Model, opts Options) (sim.WorstCase, error) {
-	p, err := planFromModel(m)
+	plan, err := tracePlan(opts.Context, func() (*Plan, error) {
+		p, err := planFromModel(m)
+		if err != nil {
+			return nil, err
+		}
+		return &Plan{plan: p, shards: opts.resolveWorkers(len(p.labelPairs))}, nil
+	})
 	if err != nil {
 		return sim.WorstCase{}, err
 	}
-	return runPlan(m, &Plan{plan: p, shards: opts.resolveWorkers(len(p.labelPairs))}, opts, CheckpointConfig{})
+	return runPlan(m, plan, opts, CheckpointConfig{})
 }
 
 // NewModelPlan compiles any model and fixes its shard decomposition.

@@ -40,6 +40,32 @@ func (p *Plan) Shards() int { return p.shards }
 // enumeration — the space the shards partition.
 func (p *Plan) LabelPairs() int { return len(p.plan.labelPairs) }
 
+// PlanInfo describes a compiled plan's fixed decomposition — what the
+// engine's "plan" span records about a search before any shard runs.
+type PlanInfo struct {
+	// Tier is the executor every shard dispatches to.
+	Tier Tier
+	// Shards is the fixed shard count.
+	Shards int
+	// LabelPairs and StartPairs are the sizes of the expanded
+	// (symmetry-reduced) enumeration the shards partition.
+	LabelPairs int
+	StartPairs int
+	// Delays is the size of the delay set.
+	Delays int
+}
+
+// Info reports the plan's decomposition.
+func (p *Plan) Info() PlanInfo {
+	return PlanInfo{
+		Tier:       p.plan.tier,
+		Shards:     p.shards,
+		LabelPairs: len(p.plan.labelPairs),
+		StartPairs: len(p.plan.startPairs),
+		Delays:     len(p.plan.delays),
+	}
+}
+
 // RunShard executes one shard — the i-th contiguous slice of the
 // label-pair enumeration — on the plan's tier and returns its partial
 // WorstCase. A nil ctx means context.Background(). Merging every

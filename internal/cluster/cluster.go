@@ -43,9 +43,11 @@ import (
 // addressed within the fixed decomposition both sides derive
 // independently.
 type ShardRequest struct {
-	// Search is the embedded /search request body (the serve package's
-	// Request JSON). The dispatcher treats it as opaque; the worker
-	// recompiles it with the same validation and caps as /search.
+	// Search is the search as a standalone scenario document
+	// (internal/scenario's Search JSON, the form every /search body
+	// lowers onto). The dispatcher treats it as opaque; the worker
+	// parses and recompiles it with the same validation and caps as
+	// /search.
 	Search json.RawMessage `json:"search"`
 	// Fingerprint is the coordinator's canonical content address of the
 	// compiled search. The worker recomputes it and must agree; a
@@ -340,7 +342,7 @@ func (st *searchState) finish() (sim.WorstCase, error) {
 // Search fans the fingerprinted search out across the peer pool as
 // shards 0..shards-1 of the fixed decomposition and returns the merged
 // result, bit-for-bit identical to a local Search over the same
-// compiled search. search is the /search request body every shard
+// compiled search. search is the scenario document every shard
 // request embeds; progress, when non-nil, is called after every
 // completed shard (including shards restored from the store, reported
 // once up front) with calls serialized.

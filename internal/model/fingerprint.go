@@ -1,13 +1,10 @@
 package model
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash"
-	"io"
 	"sort"
+
+	"rendezvous/internal/resultstore"
 )
 
 // fingerprintVersion salts every fingerprint this package computes.
@@ -19,117 +16,32 @@ import (
 // semantics of any hashed component changes.
 const fingerprintVersion = "rendezvous/model/v1"
 
-// hasher mirrors the result store's canonical encoders: fixed-width
-// little-endian integers, length-prefixed strings, so every component
-// contributes an unambiguous byte sequence.
-type hasher struct {
-	h hash.Hash
-}
-
-func (hw hasher) ints(vals ...int) {
-	for _, v := range vals {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		hw.h.Write(buf[:])
-	}
-}
-
-func (hw hasher) str(s string) {
-	hw.ints(len(s))
-	io.WriteString(hw.h, s)
-}
-
 // Fingerprint implements Model: the canonical content address of the
-// dynamic search, in this package's fingerprint domain. Like the paper
-// model's fingerprint it hashes semantics, not syntax — the space is
-// expanded first, the graph is hashed as its full port-labeled
-// structure, the explorer by behaviour, the algorithm by the schedules
-// of exactly the reachable labels — and it additionally hashes the
-// phase schedule (durations and normalized disabled edge lists).
+// dynamic search, in this package's fingerprint domain. It shares the
+// paper model's canonical encoder (resultstore.Encoder), so it hashes
+// semantics, not syntax — the space is expanded first, the graph is
+// hashed as its full port-labeled structure, the explorer by
+// behaviour, the algorithm by the schedules of exactly the reachable
+// labels — and it additionally hashes the model name and the phase
+// schedule (durations and normalized disabled edge lists).
 // Output-invariant execution knobs (workers) contribute nothing.
 func (m Dynamic) Fingerprint() (string, error) {
 	if err := m.validate(); err != nil {
 		return "", err
 	}
-	n := m.Graph.N()
-	labelPairs, startPairs, delays, err := m.Space.Expand(n)
-	if err != nil {
+	e := resultstore.NewEncoder(fingerprintVersion)
+	e.Str(m.Name())
+	if err := e.Search(m.Graph, m.Explorer, m.ScheduleFor, m.Space); err != nil {
 		return "", fmt.Errorf("model: dynamic: Fingerprint: %w", err)
 	}
-
-	hw := hasher{h: sha256.New()}
-	hw.str(fingerprintVersion)
-	hw.str(m.Name())
-
-	// Graph: full port-labeled adjacency structure.
-	hw.str("graph")
-	hw.ints(n)
-	for v := 0; v < n; v++ {
-		deg := m.Graph.Degree(v)
-		hw.ints(deg)
-		for p := 0; p < deg; p++ {
-			to, entry := m.Graph.Neighbor(v, p)
-			hw.ints(to, entry)
-		}
-	}
-
-	// Explorer: behaviour, not name.
-	hw.str("explorer")
-	e := m.Explorer.Duration(m.Graph)
-	hw.ints(e)
-	for start := 0; start < n; start++ {
-		plan, err := m.Explorer.Plan(m.Graph, start)
-		if err != nil {
-			return "", fmt.Errorf("model: dynamic: Fingerprint: explorer %s rejects start %d: %w", m.Explorer.Name(), start, err)
-		}
-		hw.ints(len(plan))
-		for _, step := range plan {
-			hw.ints(step)
-		}
-	}
-
-	// Algorithm: the schedules of exactly the reachable labels.
-	hw.str("schedules")
-	seen := make(map[int]bool)
-	var labels []int
-	for _, lp := range labelPairs {
-		for _, l := range lp[:] {
-			if !seen[l] {
-				seen[l] = true
-				labels = append(labels, l)
-			}
-		}
-	}
-	sort.Ints(labels)
-	hw.ints(len(labels))
-	for _, l := range labels {
-		sched := m.ScheduleFor(l)
-		hw.ints(l, len(sched))
-		for _, seg := range sched {
-			hw.ints(int(seg))
-		}
-	}
-
-	// Space: the expanded (canonical) enumeration.
-	hw.str("space")
-	hw.ints(len(labelPairs))
-	for _, lp := range labelPairs {
-		hw.ints(lp[0], lp[1])
-	}
-	hw.ints(len(startPairs))
-	for _, sp := range startPairs {
-		hw.ints(sp[0], sp[1])
-	}
-	hw.ints(len(delays))
-	hw.ints(delays...)
 
 	// Phases: duration plus the normalized, sorted disabled edge list
 	// of each phase — two spellings of the same edge set hash
 	// identically.
-	hw.str("phases")
-	hw.ints(len(m.Phases))
+	e.Str("phases")
+	e.Ints(len(m.Phases))
 	for _, ph := range m.Phases {
-		hw.ints(ph.Rounds)
+		e.Ints(ph.Rounds)
 		edges := make([][2]int, 0, len(ph.Disable))
 		dedup := make(map[[2]int]bool, len(ph.Disable))
 		for _, de := range ph.Disable {
@@ -145,11 +57,10 @@ func (m Dynamic) Fingerprint() (string, error) {
 			}
 			return edges[i][1] < edges[j][1]
 		})
-		hw.ints(len(edges))
+		e.Ints(len(edges))
 		for _, ne := range edges {
-			hw.ints(ne[0], ne[1])
+			e.Ints(ne[0], ne[1])
 		}
 	}
-
-	return hex.EncodeToString(hw.h.Sum(nil)), nil
+	return e.Sum(), nil
 }

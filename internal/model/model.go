@@ -76,7 +76,7 @@ type Compiled struct {
 	// what makes worker counts output-invariant.
 	LabelPairs [][2]int
 	// StartPairs and Delays are the remaining enumeration axes. Sweep
-	// closes over them; they are carried here so plan observers can
+	// closes over them; they are carried here so the plan span can
 	// report the decomposition without re-expanding the space.
 	StartPairs [][2]int
 	Delays     []int

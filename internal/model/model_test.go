@@ -358,6 +358,35 @@ func TestDynamicFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins one fingerprint per model to its exact
+// value. Store records and checkpointed shards are keyed by these
+// addresses, so any change to either model's canonical encoding —
+// a reordered section, a different salt, a new tail — would silently
+// orphan every stored result and must instead show up here.
+func TestFingerprintGolden(t *testing.T) {
+	spec := adversary.Spec{Graph: graph.Grid(2, 3), Explorer: explore.DFS{}, ScheduleFor: scheduleFor(core.Cheap{}, 4)}
+	space := sim.SearchSpace{L: 4, Delays: []int{0, 1}}
+	for _, tc := range []struct {
+		name string
+		m    model.Model
+		want string
+	}{
+		{"paper", adversary.PaperModel{Spec: spec, Space: space}, "303504c06fbcfdb40882859538974a10255f7b0d2818a466fe20cd4b65e4956f"},
+		{"dynamic", model.Dynamic{
+			Graph: spec.Graph, Explorer: spec.Explorer, ScheduleFor: spec.ScheduleFor, Space: space,
+			Phases: []model.Phase{{Rounds: 2, Disable: [][2]int{{0, 1}, {1, 2}}}, {Rounds: 1}},
+		}, "ed3cc05f189819c41561a593fae1c4bba802563d1151ed661ee295e6adb1ec2c"},
+	} {
+		got, err := tc.m.Fingerprint()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestDynamicThroughEngine runs the dynamic model through the engine's
 // model-generic entry points: SearchModel across worker counts,
 // NewModelPlan shard execution, and ModelPlanShards agreement.
@@ -425,7 +454,6 @@ func TestDynamicCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/dyn"
-	var restored int
 	cfg := adversary.CheckpointConfig{Path: path, Shards: 3}
 	got, err := adversary.SearchModelCheckpointed(m, adversary.Options{}, cfg)
 	if err != nil {
@@ -434,7 +462,12 @@ func TestDynamicCheckpointResume(t *testing.T) {
 	if got != want {
 		t.Fatalf("checkpointed run diverged:\ngot:  %+v\nwant: %+v", got, want)
 	}
-	cfg.Observer = adversary.SearchObserver{ShardsRestored: func(done, total int) { restored = done }}
+	restored := -1
+	cfg.Progress = func(done, total int) {
+		if restored < 0 { // the first call reports the restored shards
+			restored = done
+		}
+	}
 	again, err := adversary.SearchModelCheckpointed(m, adversary.Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -38,6 +38,9 @@
 // bit-for-bit identical results for every value of them. The symmetry
 // mode is included, because it changes WorstCase.Runs (values and
 // witnesses are unchanged, but the record stores the full struct).
+//
+// Encoder exports this encoding, so every model's fingerprint applies
+// the same rules under its own domain salt.
 package resultstore
 
 import (
@@ -80,24 +83,121 @@ type Key struct {
 	Symmetry string
 }
 
-// hasher wraps a hash.Hash with fixed-width integer and string
-// encoders, so every component of the key contributes an unambiguous
-// byte sequence (variable-length sequences are always length-prefixed).
-type hasher struct {
+// Encoder writes a fingerprint's canonical byte sequence into a
+// SHA-256 hash: fixed-width little-endian integers and length-prefixed
+// strings, so every component contributes an unambiguous byte
+// sequence. It is the one encoder behind every model's fingerprint:
+// a domain salt, the search sections every model shares (Search), then
+// the model's own tail.
+type Encoder struct {
 	h hash.Hash
 }
 
-func (hw hasher) ints(vals ...int) {
+// NewEncoder starts a fingerprint in the domain named by salt. Models
+// with different salts can never share a fingerprint.
+func NewEncoder(salt string) Encoder {
+	e := Encoder{h: sha256.New()}
+	e.Str(salt)
+	return e
+}
+
+// Ints encodes each value as a fixed-width little-endian integer.
+func (e Encoder) Ints(vals ...int) {
 	for _, v := range vals {
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		hw.h.Write(buf[:])
+		e.h.Write(buf[:])
 	}
 }
 
-func (hw hasher) str(s string) {
-	hw.ints(len(s))
-	io.WriteString(hw.h, s)
+// Str encodes a length-prefixed string.
+func (e Encoder) Str(s string) {
+	e.Ints(len(s))
+	io.WriteString(e.h, s)
+}
+
+// Sum returns the fingerprint as a 64-character hex string.
+func (e Encoder) Sum() string {
+	return hex.EncodeToString(e.h.Sum(nil))
+}
+
+// Search encodes the sections every model's fingerprint shares, by the
+// canonicalization rules in the package documentation: the graph's
+// port-labeled structure, the explorer's behaviour, the schedules of
+// exactly the labels the space reaches, and the expanded space. It
+// fails when the space does not expand on the graph or the explorer
+// rejects it, leaving the encoder unusable; callers prefix the error
+// with their own name.
+func (e Encoder) Search(g *graph.Graph, ex explore.Explorer, scheduleFor func(label int) sim.Schedule, space sim.SearchSpace) error {
+	n := g.N()
+	labelPairs, startPairs, delays, err := space.Expand(n)
+	if err != nil {
+		return err
+	}
+
+	// Graph: full port-labeled adjacency structure.
+	e.Str("graph")
+	e.Ints(n)
+	for v := 0; v < n; v++ {
+		deg := g.Degree(v)
+		e.Ints(deg)
+		for p := 0; p < deg; p++ {
+			to, entry := g.Neighbor(v, p)
+			e.Ints(to, entry)
+		}
+	}
+
+	// Explorer: behaviour, not name — duration plus the plan from every
+	// start node.
+	e.Str("explorer")
+	e.Ints(ex.Duration(g))
+	for start := 0; start < n; start++ {
+		plan, err := ex.Plan(g, start)
+		if err != nil {
+			return fmt.Errorf("explorer %s rejects start %d: %w", ex.Name(), start, err)
+		}
+		e.Ints(len(plan))
+		for _, step := range plan {
+			e.Ints(step)
+		}
+	}
+
+	// Algorithm: the schedules of exactly the labels the space reaches,
+	// in sorted label order.
+	e.Str("schedules")
+	seen := make(map[int]bool)
+	var labels []int
+	for _, lp := range labelPairs {
+		for _, l := range lp[:] {
+			if !seen[l] {
+				seen[l] = true
+				labels = append(labels, l)
+			}
+		}
+	}
+	sort.Ints(labels)
+	e.Ints(len(labels))
+	for _, l := range labels {
+		sched := scheduleFor(l)
+		e.Ints(l, len(sched))
+		for _, seg := range sched {
+			e.Ints(int(seg))
+		}
+	}
+
+	// Space: the expanded (canonical) enumeration.
+	e.Str("space")
+	e.Ints(len(labelPairs))
+	for _, lp := range labelPairs {
+		e.Ints(lp[0], lp[1])
+	}
+	e.Ints(len(startPairs))
+	for _, sp := range startPairs {
+		e.Ints(sp[0], sp[1])
+	}
+	e.Ints(len(delays))
+	e.Ints(delays...)
+	return nil
 }
 
 // Fingerprint returns the canonical content address of the key as a
@@ -110,82 +210,12 @@ func Fingerprint(k Key) (string, error) {
 	if k.Graph == nil || k.Explorer == nil || k.ScheduleFor == nil {
 		return "", fmt.Errorf("resultstore: Fingerprint: Graph, Explorer and ScheduleFor are all required")
 	}
-	n := k.Graph.N()
-	labelPairs, startPairs, delays, err := k.Space.Expand(n)
-	if err != nil {
+	e := NewEncoder(fingerprintVersion)
+	if err := e.Search(k.Graph, k.Explorer, k.ScheduleFor, k.Space); err != nil {
 		return "", fmt.Errorf("resultstore: Fingerprint: %w", err)
 	}
-
-	hw := hasher{h: sha256.New()}
-	hw.str(fingerprintVersion)
-
-	// Graph: full port-labeled adjacency structure.
-	hw.str("graph")
-	hw.ints(n)
-	for v := 0; v < n; v++ {
-		deg := k.Graph.Degree(v)
-		hw.ints(deg)
-		for p := 0; p < deg; p++ {
-			to, entry := k.Graph.Neighbor(v, p)
-			hw.ints(to, entry)
-		}
-	}
-
-	// Explorer: behaviour, not name — duration plus the plan from every
-	// start node.
-	hw.str("explorer")
-	e := k.Explorer.Duration(k.Graph)
-	hw.ints(e)
-	for start := 0; start < n; start++ {
-		plan, err := k.Explorer.Plan(k.Graph, start)
-		if err != nil {
-			return "", fmt.Errorf("resultstore: Fingerprint: explorer %s rejects start %d: %w", k.Explorer.Name(), start, err)
-		}
-		hw.ints(len(plan))
-		for _, step := range plan {
-			hw.ints(step)
-		}
-	}
-
-	// Algorithm: the schedules of exactly the labels the space reaches,
-	// in sorted label order.
-	hw.str("schedules")
-	seen := make(map[int]bool)
-	var labels []int
-	for _, lp := range labelPairs {
-		for _, l := range lp[:] {
-			if !seen[l] {
-				seen[l] = true
-				labels = append(labels, l)
-			}
-		}
-	}
-	sort.Ints(labels)
-	hw.ints(len(labels))
-	for _, l := range labels {
-		sched := k.ScheduleFor(l)
-		hw.ints(l, len(sched))
-		for _, seg := range sched {
-			hw.ints(int(seg))
-		}
-	}
-
-	// Space: the expanded (canonical) enumeration.
-	hw.str("space")
-	hw.ints(len(labelPairs))
-	for _, lp := range labelPairs {
-		hw.ints(lp[0], lp[1])
-	}
-	hw.ints(len(startPairs))
-	for _, sp := range startPairs {
-		hw.ints(sp[0], sp[1])
-	}
-	hw.ints(len(delays))
-	hw.ints(delays...)
-
 	// Engine options that change the stored record.
-	hw.str("symmetry")
-	hw.str(k.Symmetry)
-
-	return hex.EncodeToString(hw.h.Sum(nil)), nil
+	e.Str("symmetry")
+	e.Str(k.Symmetry)
+	return e.Sum(), nil
 }

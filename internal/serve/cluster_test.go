@@ -16,6 +16,7 @@ import (
 	"rendezvous/internal/adversary"
 	"rendezvous/internal/cluster"
 	"rendezvous/internal/resultstore"
+	"rendezvous/internal/scenario"
 	"rendezvous/internal/sim"
 )
 
@@ -138,11 +139,7 @@ func localWant(t testing.TB, body string) sim.WorstCase {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	m, opts, err := req.compile(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := adversary.SearchModel(m, opts)
+	wc, err := adversary.SearchModel(compileRequest(t, req), adversary.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +227,14 @@ func TestShardEndpoint(t *testing.T) {
 	}
 	ts := newWorker(t, store)
 
-	body := `{"graph":{"family":"ring","n":6},"explorer":"ring-sweep","algorithm":"cheap","L":3,"delays":[0,1]}`
-	var req Request
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
+	// /shard bodies carry the lowered scenario document, not the
+	// /search request that spelled it.
+	doc := `{"version":1,"graph":{"family":"ring","n":6},"explorer":"ring-sweep","algorithm":"cheap","l":3,"delays":[0,1]}`
+	sc, err := scenario.ParseSearch([]byte(doc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := req.compile(1)
+	m, err := compileSearch(*sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestShardEndpoint(t *testing.T) {
 	// reproduce the local search.
 	results := make([]sim.WorstCase, shards)
 	for i := 0; i < shards; i++ {
-		status, out := post(t, cluster.ShardRequest{Search: json.RawMessage(body), Fingerprint: fp, Shard: i, Shards: shards})
+		status, out := post(t, cluster.ShardRequest{Search: json.RawMessage(doc), Fingerprint: fp, Shard: i, Shards: shards})
 		if status != http.StatusOK || out.Error != "" {
 			t.Fatalf("shard %d: status %d error %q", i, status, out.Error)
 		}
@@ -287,12 +286,12 @@ func TestShardEndpoint(t *testing.T) {
 		}
 		results[i] = *out.Result
 	}
-	if got, want := adversary.MergeShards(results), localWant(t, body); got != want {
+	if got, want := adversary.MergeShards(results), localWant(t, `{"scenario":`+doc+`}`); got != want {
 		t.Errorf("merged shards %+v != local search %+v", got, want)
 	}
 
 	// Repeats are answered from the worker's store.
-	if status, out := post(t, cluster.ShardRequest{Search: json.RawMessage(body), Fingerprint: fp, Shard: 0, Shards: shards}); status != http.StatusOK || !out.Cached {
+	if status, out := post(t, cluster.ShardRequest{Search: json.RawMessage(doc), Fingerprint: fp, Shard: 0, Shards: shards}); status != http.StatusOK || !out.Cached {
 		t.Errorf("repeated shard: status %d cached %v, want a store hit", status, out.Cached)
 	}
 
@@ -302,14 +301,17 @@ func TestShardEndpoint(t *testing.T) {
 		status int
 		want   string
 	}{
-		{"fingerprint-mismatch", cluster.ShardRequest{Search: json.RawMessage(body), Fingerprint: strings.Repeat("00", 32), Shard: 0, Shards: shards}, http.StatusConflict, "fingerprint mismatch"},
+		{"fingerprint-mismatch", cluster.ShardRequest{Search: json.RawMessage(doc), Fingerprint: strings.Repeat("00", 32), Shard: 0, Shards: shards}, http.StatusConflict, "fingerprint mismatch"},
 		// Any count in [1, label pairs] is a valid decomposition; the
 		// worker's clamp only diverges (and must conflict) beyond it.
-		{"shard-count-mismatch", cluster.ShardRequest{Search: json.RawMessage(body), Fingerprint: fp, Shard: 0, Shards: 1000}, http.StatusConflict, "shard-plan mismatch"},
-		{"shard-out-of-range", cluster.ShardRequest{Search: json.RawMessage(body), Fingerprint: fp, Shard: shards, Shards: shards}, http.StatusBadRequest, "out of range"},
-		{"negative-shard", cluster.ShardRequest{Search: json.RawMessage(body), Fingerprint: fp, Shard: -1, Shards: shards}, http.StatusBadRequest, "out of range"},
+		{"shard-count-mismatch", cluster.ShardRequest{Search: json.RawMessage(doc), Fingerprint: fp, Shard: 0, Shards: 1000}, http.StatusConflict, "shard-plan mismatch"},
+		{"shard-out-of-range", cluster.ShardRequest{Search: json.RawMessage(doc), Fingerprint: fp, Shard: shards, Shards: shards}, http.StatusBadRequest, "out of range"},
+		{"negative-shard", cluster.ShardRequest{Search: json.RawMessage(doc), Fingerprint: fp, Shard: -1, Shards: shards}, http.StatusBadRequest, "out of range"},
 		{"malformed-search", cluster.ShardRequest{Search: json.RawMessage(`{"graph":42}`), Fingerprint: fp, Shard: 0, Shards: shards}, http.StatusBadRequest, "malformed embedded search"},
-		{"invalid-search", cluster.ShardRequest{Search: json.RawMessage(`{"graph":{"family":"ring","n":2},"algorithm":"cheap","L":3}`), Fingerprint: fp, Shard: 0, Shards: shards}, http.StatusBadRequest, "ring"},
+		// An older coordinator embeds the /search body as sent; it is
+		// no scenario document (no version), so the search is rejected.
+		{"inline-request-body", cluster.ShardRequest{Search: json.RawMessage(ringRequest), Fingerprint: fp, Shard: 0, Shards: shards}, http.StatusBadRequest, "malformed embedded search"},
+		{"invalid-search", cluster.ShardRequest{Search: json.RawMessage(`{"version":1,"graph":{"family":"ring","n":2},"algorithm":"cheap","l":3}`), Fingerprint: fp, Shard: 0, Shards: shards}, http.StatusBadRequest, "ring"},
 	}
 	for _, tc := range errCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,7 +47,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -130,8 +129,8 @@ type Request struct {
 	// Scenario, when present, is a standalone internal/scenario Search
 	// document (with its own "version", "model", tier and symmetry
 	// fields), validated by the scenario parser and lowered onto a
-	// model. It is kept raw here so cluster dispatch re-embeds the
-	// client's exact document and workers re-validate it identically.
+	// model. Cluster dispatch embeds the parsed document, which workers
+	// re-validate with the same parser.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 
 	Graph GraphSpec `json:"graph"`
@@ -164,40 +163,11 @@ type Request struct {
 	Timings bool `json:"timings,omitempty"`
 }
 
-// compile validates the request and lowers it onto a model.Model.
-// Both spellings go through one validator: the scenario form is
-// parsed as the standalone document it is, the inline form is lowered
-// onto the scenario.Search it denotes, and either is then held to the
-// daemon's label-space cap and compiled by scenario.Search.Compile —
-// so the two spellings of one search share one fingerprint and one
-// cache entry. defaultWorkers is the server-wide per-search worker
-// count used when the request does not override it; it lands in the
-// returned execution options alongside nothing else (tier, symmetry
-// and budgets are the model's own state).
-func (r Request) compile(defaultWorkers int) (model.Model, adversary.Options, error) {
-	opts := adversary.Options{Workers: r.Workers}
-	if opts.Workers == 0 {
-		opts.Workers = defaultWorkers
-	}
-	sc, err := r.search()
-	if err != nil {
-		return nil, opts, err
-	}
-	// The format admits benchmark-scale label spaces; the daemon does
-	// not (scenario.MaxL > serve.MaxL).
-	if l := sc.EffectiveL(); l > MaxL {
-		return nil, opts, fmt.Errorf("serve: l %d exceeds the served maximum %d", l, MaxL)
-	}
-	m, err := sc.Compile(scenario.Options{})
-	if err != nil {
-		return nil, opts, err
-	}
-	return m, opts, nil
-}
-
 // search returns the scenario document the request spells: the
 // parsed "scenario" body, or the inline fields lowered field for field
-// (inline L is the document's l).
+// (inline L is the document's l). Both spellings then go through one
+// validator, compileSearch, so the two spellings of one search share
+// one fingerprint and one cache entry.
 func (r Request) search() (scenario.Search, error) {
 	if r.Scenario != nil {
 		// The document is a complete search of its own; the inline
@@ -290,16 +260,17 @@ type StreamEvent struct {
 
 // searchFunc is the engine entry point, injectable in tests: any
 // model, driven through the model-generic checkpoint driver. progress
-// may be nil; obs's zero value observes nothing.
-type searchFunc func(ctx context.Context, m model.Model, opts adversary.Options, progress func(completed, total int), obs adversary.SearchObserver) (sim.WorstCase, error)
+// may be nil.
+type searchFunc func(ctx context.Context, m model.Model, opts adversary.Options, progress func(completed, total int)) (sim.WorstCase, error)
 
 // engineSearch is the production searchFunc: the checkpointed engine
 // driven for shard-level progress (without a checkpoint store — the
 // store persists finished results; the daemon's unit of recovery is
-// the request).
-func engineSearch(ctx context.Context, m model.Model, opts adversary.Options, progress func(completed, total int), obs adversary.SearchObserver) (sim.WorstCase, error) {
+// the request). The engine opens its plan, shard.exec and merge spans
+// under the span ctx carries.
+func engineSearch(ctx context.Context, m model.Model, opts adversary.Options, progress func(completed, total int)) (sim.WorstCase, error) {
 	opts.Context = ctx
-	return adversary.SearchModelCheckpointed(m, opts, adversary.CheckpointConfig{Progress: progress, Observer: obs})
+	return adversary.SearchModelCheckpointed(m, opts, adversary.CheckpointConfig{Progress: progress})
 }
 
 // Config tunes a Server.
@@ -856,7 +827,18 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, entries)
 }
 
-// compileAndFingerprint lowers a decoded request onto the engine and
+// compileSearch holds a scenario document to the daemon's label-space
+// cap and compiles it with scenario.Search.Compile. The format admits
+// benchmark-scale label spaces; the daemon does not (scenario.MaxL >
+// serve.MaxL).
+func compileSearch(sc scenario.Search) (model.Model, error) {
+	if l := sc.EffectiveL(); l > MaxL {
+		return nil, fmt.Errorf("serve: l %d exceeds the served maximum %d", l, MaxL)
+	}
+	return sc.Compile(scenario.Options{})
+}
+
+// compileAndFingerprint lowers a scenario document onto the engine and
 // derives its canonical content address, with fingerprint hashing
 // bounded by the CPU-sized fpSem. It is the one validation prologue
 // shared by /search and /shard, so a cap or validation change can
@@ -864,18 +846,18 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // error is always a client error (400): an unfingerprintable search
 // is one the engine itself would reject (invalid space, explorer
 // rejecting the graph).
-func (s *Server) compileAndFingerprint(req Request) (model.Model, adversary.Options, string, error) {
-	m, opts, err := req.compile(s.workers)
+func (s *Server) compileAndFingerprint(sc scenario.Search) (model.Model, string, error) {
+	m, err := compileSearch(sc)
 	if err != nil {
-		return nil, opts, "", err
+		return nil, "", err
 	}
 	s.fpSem <- struct{}{}
 	fp, err := m.Fingerprint()
 	<-s.fpSem
 	if err != nil {
-		return nil, opts, "", err
+		return nil, "", err
 	}
-	return m, opts, fp, nil
+	return m, fp, nil
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -913,7 +895,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fpSpan := trace.StartLeaf(r.Context(), "fingerprint")
-	mdl, opts, fp, err := s.compileAndFingerprint(req)
+	sc, err := req.search()
+	var mdl model.Model
+	var fp string
+	if err == nil {
+		mdl, fp, err = s.compileAndFingerprint(sc)
+	}
 	fpSpan.End()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse(err))
@@ -956,8 +943,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// flight's own context — augmented with the creator's trace so
 		// queue wait, engine execution and the store write-back land in
 		// the creator's span tree. Requests that merely join the flight
-		// trace only their own (cheap) pipeline.
-		go s.run(f, trace.ContextWith(f.ctx, root), admissionTenant(m.tenant), req, mdl, opts)
+		// trace only their own (cheap) pipeline. The request's worker
+		// count is its one execution option (tier, symmetry and budgets
+		// are the model's own state).
+		opts := adversary.Options{Workers: req.Workers}
+		if opts.Workers == 0 {
+			opts.Workers = s.workers
+		}
+		go s.run(f, trace.ContextWith(f.ctx, root), admissionTenant(m.tenant), sc, mdl, opts)
 	}
 
 	if req.Stream {
@@ -1059,7 +1052,7 @@ func (s *Server) leave(f *flight) {
 // is the flight creator's identity: only the creator occupies an
 // admission queue slot; requests that join the flight later wait on
 // done without holding capacity.
-func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, req Request, m model.Model, opts adversary.Options) {
+func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, sc scenario.Search, m model.Model, opts adversary.Options) {
 	var wc sim.WorstCase
 	var err error
 	if s.cluster != nil {
@@ -1075,7 +1068,7 @@ func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, r
 		}
 		start := time.Now()
 		dctx, dispatchSpan := trace.Start(ctx, "dispatch", trace.Int("peers", len(s.cluster.Peers())))
-		wc, err = dispatch(dctx, s.cluster, req, m, f.fp, s.shards, f.broadcast)
+		wc, err = dispatch(dctx, s.cluster, sc, m, f.fp, s.shards, f.broadcast)
 		dispatchSpan.End()
 		s.mSearchSec.Observe(time.Since(start).Seconds(), "cluster")
 	} else {
@@ -1097,7 +1090,7 @@ func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, r
 			}
 			start := time.Now()
 			ectx, engineSpan := trace.Start(ctx, "engine")
-			wc, err = s.search(ectx, m, opts, f.broadcast, traceObserver(ectx))
+			wc, err = s.search(ectx, m, opts, f.broadcast)
 			engineSpan.End()
 			s.mSearchSec.Observe(time.Since(start).Seconds(), "engine")
 			release()
@@ -1119,84 +1112,13 @@ func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, r
 	close(f.done)
 }
 
-// traceObserver bridges the engine's SearchObserver events onto spans
-// under ctx (the engine span). The "plan" span opens immediately —
-// plan compilation is the first thing SearchModelCheckpointed does — and
-// closes when PlanReady reports the decomposition; each executed shard
-// gets a "shard.exec" span tagged with its index, tier and run count;
-// the final merge gets its own span. The daemon never checkpoints (its
-// searches set no CheckpointConfig.Path), so there are no shard-record
-// Puts to span. With no span in ctx the zero observer is returned and
-// the engine runs unobserved.
-func traceObserver(ctx context.Context) adversary.SearchObserver {
-	if trace.FromContext(ctx) == nil {
-		return adversary.SearchObserver{}
-	}
-	var (
-		mu        sync.Mutex
-		tier      string
-		planSpan  *trace.Span
-		shardRuns = make(map[int]*trace.Span)
-		mergeSpan *trace.Span
-	)
-	planSpan = trace.StartLeaf(ctx, "plan")
-	return adversary.SearchObserver{
-		PlanReady: func(info adversary.PlanInfo) {
-			mu.Lock()
-			tier = info.Tier.String()
-			mu.Unlock()
-			planSpan.SetAttr(
-				trace.String("tier", info.Tier.String()),
-				trace.Int("shards", info.Shards),
-				trace.Int("labelPairs", info.LabelPairs),
-				trace.Int("startPairs", info.StartPairs),
-				trace.Int("delays", info.Delays),
-			)
-			planSpan.End()
-		},
-		ShardStarted: func(shard, shards int) {
-			mu.Lock()
-			t := tier
-			mu.Unlock()
-			sp := trace.StartLeaf(ctx, "shard.exec",
-				trace.Int("shard", shard), trace.Int("shards", shards), trace.String("tier", t))
-			mu.Lock()
-			shardRuns[shard] = sp
-			mu.Unlock()
-		},
-		ShardFinished: func(shard, shards, runs int, err error) {
-			mu.Lock()
-			sp := shardRuns[shard]
-			delete(shardRuns, shard)
-			mu.Unlock()
-			sp.SetAttr(trace.Int("runs", runs))
-			if err != nil {
-				sp.SetAttr(trace.String("error", err.Error()))
-			}
-			sp.End()
-		},
-		MergeStarted: func(shards int) {
-			mu.Lock()
-			defer mu.Unlock()
-			mergeSpan = trace.StartLeaf(ctx, "merge", trace.Int("shards", shards))
-		},
-		MergeFinished: func() {
-			mu.Lock()
-			sp := mergeSpan
-			mu.Unlock()
-			sp.End()
-		},
-	}
-}
-
 // dispatch fans an already-compiled search out through the cluster:
 // it fixes the shard count both sides will independently re-derive,
-// embeds the request as the shard protocol's search body, and merges
-// the peers' shard results bit-for-bit identically to a local Search.
-func dispatch(ctx context.Context, d *cluster.Dispatcher, req Request, m model.Model, fp string, shards int, progress func(completed, total int)) (sim.WorstCase, error) {
-	req.Stream = false  // stream is a transport option of /search, not part of the search
-	req.Timings = false // likewise: explain is answered by the coordinator, not the workers
-	search, err := json.Marshal(req)
+// embeds the lowered scenario document as the shard protocol's search
+// body, and merges the peers' shard results bit-for-bit identically to
+// a local Search.
+func dispatch(ctx context.Context, d *cluster.Dispatcher, sc scenario.Search, m model.Model, fp string, shards int, progress func(completed, total int)) (sim.WorstCase, error) {
+	search, err := json.Marshal(sc)
 	if err != nil {
 		return sim.WorstCase{}, fmt.Errorf("serve: marshal search for dispatch: %w", err)
 	}
@@ -1214,7 +1136,11 @@ func dispatch(ctx context.Context, d *cluster.Dispatcher, req Request, m model.M
 // engine default. The merged result is bit-for-bit identical to a
 // single-node search of the same request.
 func Distribute(ctx context.Context, d *cluster.Dispatcher, req Request, shards int, progress func(completed, total int)) (sim.WorstCase, string, error) {
-	m, _, err := req.compile(0)
+	sc, err := req.search()
+	if err != nil {
+		return sim.WorstCase{}, "", err
+	}
+	m, err := compileSearch(sc)
 	if err != nil {
 		return sim.WorstCase{}, "", err
 	}
@@ -1222,13 +1148,14 @@ func Distribute(ctx context.Context, d *cluster.Dispatcher, req Request, shards 
 	if err != nil {
 		return sim.WorstCase{}, "", err
 	}
-	wc, err := dispatch(ctx, d, req, m, fp, shards, progress)
+	wc, err := dispatch(ctx, d, sc, m, fp, shards, progress)
 	return wc, fp, err
 }
 
 // handleShard serves POST /shard: one shard of a search's fixed
-// decomposition, for a cluster coordinator. The embedded search is
-// recompiled with exactly the same validation and caps as /search
+// decomposition, for a cluster coordinator. The embedded scenario
+// document is recompiled with exactly the same validation and caps as
+// /search
 // (nothing reaches the engine unvalidated on this path either), and
 // the coordinator's fingerprint and shard count must match the
 // locally derived ones — a mismatch is version skew and answers 409
@@ -1240,9 +1167,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, Response{Error: "POST only"})
 		return
 	}
-	// The wrapper adds a fixed few hundred bytes around a /search body
-	// that is itself capped at MaxBodyBytes; allow it headroom so any
-	// body /search accepts remains dispatchable.
+	// The wrapper adds a fixed few hundred bytes around the lowered
+	// document of a /search body that is itself capped at MaxBodyBytes;
+	// allow it headroom so any body /search accepts remains
+	// dispatchable.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes+(64<<10)))
 	dec.DisallowUnknownFields()
 	var sreq cluster.ShardRequest
@@ -1250,16 +1178,14 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, cluster.ShardResponse{Error: fmt.Sprintf("serve: malformed shard request: %v", err)})
 		return
 	}
-	reqDec := json.NewDecoder(bytes.NewReader(sreq.Search))
-	reqDec.DisallowUnknownFields()
-	var req Request
-	if err := reqDec.Decode(&req); err != nil {
+	sc, err := scenario.ParseSearch(sreq.Search)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, cluster.ShardResponse{Error: fmt.Sprintf("serve: malformed embedded search: %v", err)})
 		return
 	}
 	root := trace.FromContext(r.Context())
 	fpSpan := trace.StartLeaf(r.Context(), "fingerprint")
-	mdl, _, fp, err := s.compileAndFingerprint(req)
+	mdl, fp, err := s.compileAndFingerprint(*sc)
 	fpSpan.End()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, cluster.ShardResponse{Error: err.Error()})

@@ -50,6 +50,21 @@ func postSearch(t *testing.T, url, body string) (int, Response) {
 	return resp.StatusCode, out
 }
 
+// compileRequest lowers a request onto its model exactly as /search
+// does.
+func compileRequest(t testing.TB, req Request) model.Model {
+	t.Helper()
+	sc, err := req.search()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := compileSearch(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 const ringRequest = `{"graph":{"family":"ring","n":6},"explorer":"ring-sweep","algorithm":"cheap","L":3,"delays":[0,1]}`
 
 // ringWant computes the expected engine answer for ringRequest.
@@ -246,7 +261,7 @@ func TestSingleFlight(t *testing.T) {
 		release     = make(chan struct{})
 	)
 	want := ringWant(t)
-	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int), _ adversary.SearchObserver) (sim.WorstCase, error) {
+	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int)) (sim.WorstCase, error) {
 		if invocations.Add(1) == 1 {
 			close(started)
 		}
@@ -315,7 +330,7 @@ func TestCancelMidSearch(t *testing.T) {
 		engineDone  = make(chan error, 2)
 	)
 	want := ringWant(t)
-	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int), _ adversary.SearchObserver) (sim.WorstCase, error) {
+	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int)) (sim.WorstCase, error) {
 		n := invocations.Add(1)
 		started <- struct{}{}
 		if n == 1 {
@@ -478,11 +493,7 @@ func TestGraphSpecFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.spec.Family, func(t *testing.T) {
-			m, _, err := Request{Graph: tc.spec, Algorithm: "cheap", L: 2}.compile(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := m.(adversary.PaperModel).Spec.Graph
+			g := compileRequest(t, Request{Graph: tc.spec, Algorithm: "cheap", L: 2}).(adversary.PaperModel).Spec.Graph
 			if g.N() != tc.wantN {
 				t.Errorf("N = %d, want %d", g.N(), tc.wantN)
 			}
@@ -506,7 +517,7 @@ func TestEngineSearchMatchesSearch(t *testing.T) {
 	var events int
 	m := adversary.PaperModel{Spec: spec, Space: sim.SearchSpace{L: 3, Delays: []int{0, 1}}}
 	got, err := engineSearch(context.Background(), m,
-		adversary.Options{Workers: 1}, func(completed, total int) { events++ }, adversary.SearchObserver{})
+		adversary.Options{Workers: 1}, func(completed, total int) { events++ })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestFairnessSLO(t *testing.T) {
 	)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
-	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int), _ adversary.SearchObserver) (sim.WorstCase, error) {
+	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int)) (sim.WorstCase, error) {
 		// Fixed compute cost, long against the closed-loop turnaround
 		// (client decode + re-POST, all on one core under -race), so
 		// both tenants are backlogged at nearly every grant decision.
@@ -187,7 +187,7 @@ func TestFairnessSLO(t *testing.T) {
 // admitted requests — every light search completes.
 func TestNoStarvationUnderChurn(t *testing.T) {
 	srv, ts := newTenantServer(t, fairnessTokens, Config{MaxConcurrent: 1, Workers: 1})
-	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int), _ adversary.SearchObserver) (sim.WorstCase, error) {
+	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int)) (sim.WorstCase, error) {
 		select {
 		case <-time.After(2 * time.Millisecond):
 		case <-ctx.Done():
@@ -258,7 +258,7 @@ beta-tenant-token  beta  1 100 3
 	var engineRuns atomic.Int32
 	blockerStarted := make(chan struct{})
 	releaseBlocker := make(chan struct{})
-	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int), _ adversary.SearchObserver) (sim.WorstCase, error) {
+	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int)) (sim.WorstCase, error) {
 		engineRuns.Add(1)
 		if m.(adversary.PaperModel).Space.Delays[0] == 1 {
 			close(blockerStarted)

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rendezvous/internal/adversary"
 	"rendezvous/internal/resultstore"
 	"rendezvous/internal/trace"
 )
@@ -126,6 +129,108 @@ func TestClusterTraceSpansBothDaemons(t *testing.T) {
 	if math.Abs(sumMs-rootMs) > 0.10*rootMs {
 		t.Errorf("phase sum %.3fms vs root %.3fms: off by more than 10%%\nphases: %v",
 			sumMs, rootMs, trace.Summarize(tr.Spans, tr.Root))
+	}
+}
+
+// TestLocalSearchEngineSpans traces a local /search under an injected
+// clock and ID source. The engine opens its own spans under the
+// request's "engine" span: exactly one "plan" carrying the compiled
+// decomposition, one "shard.exec" per shard with its index, the shard
+// count and the tier, whose runs sum to the result's, and one "merge"
+// over every shard. Every span of the trace is finished.
+func TestLocalSearchEngineSpans(t *testing.T) {
+	var ids atomic.Uint64
+	tracer := trace.New(trace.Config{
+		Clock:  fixedClock{time.Unix(1700000000, 0).UTC()},
+		ReadID: func(b []byte) { binary.BigEndian.PutUint64(b[len(b)-8:], ids.Add(1)) },
+	})
+	srv, err := New(Config{MaxConcurrent: 2, Workers: 2, Tracer: tracer, Instance: "local"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	status, resp := postSearch(t, ts.URL, ringRequest)
+	if status != http.StatusOK || resp.Result == nil {
+		t.Fatalf("search: status %d error %q", status, resp.Error)
+	}
+	var req Request
+	if err := json.Unmarshal([]byte(ringRequest), &req); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := adversary.NewModelPlan(compileRequest(t, req), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := plan.Info()
+	shards, tier := int64(info.Shards), info.Tier.String()
+
+	traces := tracer.Traces(trace.Filter{})
+	if len(traces) != 1 {
+		t.Fatalf("published %d traces, want 1", len(traces))
+	}
+	tr := traces[0]
+	var engine []trace.SpanRecord
+	for _, s := range tr.Spans {
+		if s.InProgress {
+			t.Errorf("span %q still in progress", s.Name)
+		}
+		if s.Name == "engine" {
+			engine = append(engine, s)
+		}
+	}
+	if len(engine) != 1 || engine[0].ParentID != tr.Root {
+		t.Fatalf("engine spans %v, want one child of the root", engine)
+	}
+	children := make(map[string][]trace.SpanRecord)
+	for _, s := range tr.Spans {
+		if s.ParentID == engine[0].SpanID {
+			children[s.Name] = append(children[s.Name], s)
+		}
+	}
+	if len(children) != 3 {
+		t.Errorf("engine children %v, want only plan, shard.exec and merge", children)
+	}
+
+	plans := children["plan"]
+	if len(plans) != 1 {
+		t.Fatalf("%d plan spans, want 1", len(plans))
+	}
+	for key, want := range map[string]any{
+		"tier": tier, "shards": shards, "labelPairs": int64(info.LabelPairs),
+		"startPairs": int64(info.StartPairs), "delays": int64(info.Delays),
+	} {
+		if got := plans[0].Attrs.Get(key); got != want {
+			t.Errorf("plan %s = %v, want %v", key, got, want)
+		}
+	}
+
+	execs := children["shard.exec"]
+	if int64(len(execs)) != shards {
+		t.Fatalf("%d shard.exec spans, want one per shard (%d)", len(execs), shards)
+	}
+	seen := make(map[int64]bool)
+	var runs int64
+	for _, s := range execs {
+		shard, _ := s.Attrs.Get("shard").(int64)
+		if shard < 0 || shard >= shards || seen[shard] {
+			t.Errorf("shard.exec shard attribute %v: out of range or repeated", s.Attrs.Get("shard"))
+		}
+		seen[shard] = true
+		if s.Attrs.Get("shards") != shards || s.Attrs.Get("tier") != tier || s.Attrs.Get("error") != nil {
+			t.Errorf("shard.exec attributes %v", s.Attrs)
+		}
+		r, _ := s.Attrs.Get("runs").(int64)
+		runs += r
+	}
+	if runs != int64(resp.Result.Runs) {
+		t.Errorf("shard.exec runs sum to %d, result reports %d", runs, resp.Result.Runs)
+	}
+
+	merges := children["merge"]
+	if len(merges) != 1 || merges[0].Attrs.Get("shards") != shards {
+		t.Errorf("merge spans %v, want one over %d shards", merges, shards)
 	}
 }
 

@@ -282,10 +282,13 @@ type (
 	StoreEntry = resultstore.Entry
 	// CheckpointConfig tunes SearchCheckpointed: the checkpoint
 	// location, the shard granularity, and an optional progress
-	// callback. Its Path names a result-store directory (OpenStore's
+	// callback, whose first call reports the shards restored from the
+	// store. Its Path names a result-store directory (OpenStore's
 	// format), not a file: each completed shard is stored there as one
 	// record keyed by the search fingerprint, the shard index and the
-	// shard count.
+	// shard count. It configures no tracing: the engine opens its
+	// spans under the trace span, if any, that SearchOptions.Context
+	// carries.
 	CheckpointConfig = adversary.CheckpointConfig
 )
 
