@@ -15,7 +15,9 @@
 //     bit-for-bit identical to the serial scan for every worker count,
 //     shard count and goroutine schedule. One driver runs every search:
 //     SearchModel is SearchModelCheckpointed with no checkpoint store
-//     and one shard per worker.
+//     and one shard per worker. Every shard, local, checkpointed or on
+//     a cluster worker, belongs to a Plan built by NewModelPlan and
+//     runs through Plan.RunShard.
 //
 //   - Persistence. SearchModelCached answers a whole search from the
 //     result store (internal/resultstore); SearchModelCheckpointed
@@ -75,10 +77,13 @@
 //   - Tracing. Options.Context is the engine's one instrumentation
 //     seam: under a context carrying an internal/trace span, the
 //     search opens leaf spans beneath it for plan compilation
-//     ("plan"), every executed shard ("shard.exec"), every stored
-//     shard record ("store.put") and the final fold ("merge"). No
-//     fingerprint reads the context, so tracing never changes a
-//     result, and an untraced search builds no span at all.
+//     ("plan"), every stored shard record ("store.put") and the final
+//     fold ("merge"), and Plan.RunShard opens one for every shard it
+//     executes ("shard.exec") — under whatever span its own context
+//     carries, so a cluster worker's /shard request records the same
+//     span as a local search. No fingerprint reads the context, so
+//     tracing never changes a result, and an untraced search builds no
+//     span at all.
 //
 // Package sim cannot host this dispatch itself because ringsim and
 // meetoracle depend on sim's schedule types; adversary sits above all

@@ -29,7 +29,7 @@ func TestParseTier(t *testing.T) {
 	}
 }
 
-func planFor(t *testing.T, m PaperModel) *searchPlan {
+func planFor(t *testing.T, m PaperModel) *Plan {
 	t.Helper()
 	p, err := newSearchPlan(m)
 	if err != nil {

@@ -45,12 +45,6 @@ type CheckpointConfig struct {
 	// clamped to the number of label pairs). The count is part of every
 	// shard's key, so records of another decomposition are never read.
 	Shards int
-	// Fingerprint, when non-empty, is the search's precomputed content
-	// address (the model's Fingerprint), saving the recomputation when
-	// the caller already derived it. It must be the fingerprint of this
-	// very search: a wrong value would make resume miss or, worse,
-	// restore another search's shards. Empty means compute it here.
-	Fingerprint string
 	// Progress, when non-nil, is called once up front with the number
 	// of shards restored from the store (possibly zero) and the total,
 	// then after every completed shard with the running count. Calls
@@ -58,29 +52,13 @@ type CheckpointConfig struct {
 	Progress func(completed, total int)
 }
 
-// searchPlan is a search lowered to shard form: the expanded
-// (symmetry-reduced) enumeration plus a sweep function that executes
-// one contiguous slice of label pairs on the dispatched tier. sweep is
-// safe for concurrent calls on any shards.
-type searchPlan struct {
-	labelPairs [][2]int
-	startPairs [][2]int
-	delays     []int
-	// tier is the executor the sweep dispatches to, after auto
-	// selection and degenerate-space fallbacks; oracle is the shared
-	// read-only meeting-table oracle when tier is TierTable or
-	// TierBatch (nil otherwise). Tests use both to pin dispatch
-	// decisions and the prepared-before-fan-out contract.
-	tier   Tier
-	oracle *meetoracle.Oracle
-	sweep  func(ctx context.Context, shard [][2]int) (sim.WorstCase, error)
-}
-
 // newSearchPlan is the engine's one tier-dispatch implementation (the
 // paper model's compiler): symmetry reduction, then ring/table/generic
 // tier selection with the degenerate-space fallbacks, returning the
-// per-shard executor instead of running it.
-func newSearchPlan(m PaperModel) (*searchPlan, error) {
+// per-shard executor instead of running it. The plan it returns has
+// no shard count yet; PaperModel.Compile lowers it onto the model
+// contract, and NewModelPlan fixes the decomposition.
+func newSearchPlan(m PaperModel) (*Plan, error) {
 	spec := m.Spec
 	reduced, err := reduceSpace(spec, m.Space, m.Symmetry)
 	if err != nil {
@@ -97,7 +75,7 @@ func newSearchPlan(m PaperModel) (*searchPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := &searchPlan{labelPairs: labelPairs, startPairs: startPairs, delays: delays}
+	plan := &Plan{labelPairs: labelPairs, startPairs: startPairs, delays: delays}
 
 	forced := tier != TierAuto
 	if tier == TierAuto {
@@ -238,19 +216,8 @@ func ShardFingerprint(fingerprint string, shard, shards int) string {
 // address to key records by) runs without persistence, exactly as
 // SearchModel would run it, and leaves cfg.Path untouched.
 func SearchModelCheckpointed(m model.Model, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
-	plan, err := tracePlan(opts.Context, func() (*Plan, error) { return NewModelPlan(m, cfg.Shards) })
-	if err != nil {
-		return sim.WorstCase{}, err
-	}
-	return runPlan(m, plan, opts, cfg)
-}
-
-// tracePlan builds a search's plan under a "plan" span of the trace
-// ctx carries, recording the decomposition the plan fixed.
-func tracePlan(ctx context.Context, build func() (*Plan, error)) (*Plan, error) {
-	span := trace.StartLeaf(ctx, "plan")
-	defer span.End()
-	plan, err := build()
+	span := trace.StartLeaf(opts.Context, "plan")
+	plan, err := NewModelPlan(m, cfg.Shards)
 	if err == nil && span != nil {
 		info := plan.Info()
 		span.SetAttr(
@@ -261,10 +228,14 @@ func tracePlan(ctx context.Context, build func() (*Plan, error)) (*Plan, error) 
 			trace.Int("delays", info.Delays),
 		)
 	}
-	return plan, err
+	span.End()
+	if err != nil {
+		return sim.WorstCase{}, err
+	}
+	return runPlan(m, plan, opts, cfg)
 }
 
-// endSpan ends a driver span, recording err, if any, as its "error"
+// endSpan ends an engine span, recording err, if any, as its "error"
 // attribute.
 func endSpan(span *trace.Span, err error) {
 	if err != nil {
@@ -282,17 +253,18 @@ func endSpan(span *trace.Span, err error) {
 // failing shard's — the serial scan's first error — however the shards
 // were scheduled. A failed shard-record Put fails its shard.
 //
-// Under a traced opts.Context every executed shard gets a "shard.exec"
-// span, every shard-record Put a "store.put" span and the final fold a
-// "merge" span, all children of the context's span.
+// Under a traced opts.Context every executed shard gets its
+// "shard.exec" span from RunShard, and every shard-record Put a
+// "store.put" span and the final fold a "merge" span, all children of
+// the context's span.
 func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim.WorstCase, error) {
 	num := plan.Shards()
 	parent := opts.Context
 	if parent == nil {
 		parent = context.Background()
 	}
-	// Looked up once, so an untraced search builds no per-shard span
-	// attributes.
+	// Looked up once, so an untraced search builds no per-shard
+	// store.put attributes.
 	traced := trace.FromContext(parent) != nil
 
 	// Fingerprint before opening the store, so a search without a
@@ -302,16 +274,13 @@ func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim
 	// without persistence, exactly as SearchModelCached runs them
 	// without the store.
 	var store *resultstore.Store
-	fp := cfg.Fingerprint
-	if cfg.Path != "" && fp == "" {
+	var fp string
+	if cfg.Path != "" {
 		if f, err := m.Fingerprint(); err == nil {
 			fp = f
-		}
-	}
-	if cfg.Path != "" && fp != "" {
-		var err error
-		if store, err = resultstore.Open(cfg.Path); err != nil {
-			return sim.WorstCase{}, fmt.Errorf("adversary: checkpoint: %w", err)
+			if store, err = resultstore.Open(cfg.Path); err != nil {
+				return sim.WorstCase{}, fmt.Errorf("adversary: checkpoint: %w", err)
+			}
 		}
 	}
 
@@ -356,20 +325,7 @@ func runPlan(m model.Model, plan *Plan, opts Options, cfg CheckpointConfig) (sim
 					cancels[i] = cancel
 					mu.Unlock()
 
-					var span *trace.Span
-					if traced {
-						span = trace.StartLeaf(parent, "shard.exec", trace.Int("shard", i),
-							trace.Int("shards", num), trace.String("tier", plan.plan.tier.String()))
-					}
 					wc, err := plan.RunShard(ctx, i)
-					if span != nil {
-						runs := 0
-						if err == nil {
-							runs = wc.Runs
-						}
-						span.SetAttr(trace.Int("runs", runs))
-						endSpan(span, err)
-					}
 					if err == nil && store != nil {
 						var put *trace.Span
 						if traced {

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 
 	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
@@ -134,12 +135,34 @@ func (m PaperModel) checkTier() error {
 	}
 }
 
-// planFromModel lowers a compiled model onto the engine's internal
-// plan form. The tier name round-trips through ParseTier so the plan
-// span and the shard protocol keep their typed tier; a model
-// claiming an unknown tier is a compile error here, at the engine
-// boundary.
-func planFromModel(m model.Model) (*searchPlan, error) {
+// SearchModel runs the adversary over any model and returns the worst
+// time and cost found. It is SearchModelCheckpointed with no
+// checkpoint store and one shard per resolved worker (NewModelPlan
+// clamps the count to the label pairs) — contiguous slices of the
+// label-pair axis, folded in shard order with the strictly-greater
+// merge — so output is bit-for-bit identical for
+// every worker count: witnesses are the first configurations in
+// canonical enumeration order (labelPairs × startPairs × delays)
+// achieving the maxima, and an error is the serial scan's first. Only
+// the execution options (Workers, Context) come from opts: tiering,
+// symmetry and budgets are the model's own business (PaperModel
+// carries them as fields).
+func SearchModel(m model.Model, opts Options) (sim.WorstCase, error) {
+	return SearchModelCheckpointed(m, opts, CheckpointConfig{Shards: opts.resolveWorkers(math.MaxInt)})
+}
+
+// NewModelPlan compiles any model and fixes its shard decomposition;
+// it is the one constructor of a Plan from a model. shards <= 0
+// selects DefaultCheckpointShards; the count is clamped to
+// [1, label pairs] exactly as ModelPlanShards reports. The
+// decomposition is a pure function of (model, shards): every process
+// compiling the same search with the same requested count derives the
+// same boundaries — the determinism contract checkpoint/resume and the
+// cluster dispatcher rely on. The compiled tier name round-trips
+// through ParseTier so the plan span and the shard protocol keep their
+// typed tier; a model claiming an unknown tier is a compile error
+// here, at the engine boundary.
+func NewModelPlan(m model.Model, shards int) (*Plan, error) {
 	c, err := m.Compile()
 	if err != nil {
 		return nil, err
@@ -148,53 +171,14 @@ func planFromModel(m model.Model) (*searchPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adversary: model %q compiled to an unknown tier: %w", m.Name(), err)
 	}
-	return &searchPlan{
+	return &Plan{
 		labelPairs: c.LabelPairs,
 		startPairs: c.StartPairs,
 		delays:     c.Delays,
 		tier:       tier,
 		sweep:      c.Sweep,
+		shards:     resolveShardCount(len(c.LabelPairs), shards),
 	}, nil
-}
-
-// SearchModel runs the adversary over any model and returns the worst
-// time and cost found. It is the engine's one fan-out driver with no
-// checkpoint store and one shard per resolved worker — contiguous
-// slices of the label-pair axis, folded in shard order with the
-// strictly-greater merge — so output is bit-for-bit identical for
-// every worker count: witnesses are the first configurations in
-// canonical enumeration order (labelPairs × startPairs × delays)
-// achieving the maxima, and an error is the serial scan's first. Only
-// the execution options (Workers, Context) come from opts: tiering,
-// symmetry and budgets are the model's own business (PaperModel
-// carries them as fields).
-func SearchModel(m model.Model, opts Options) (sim.WorstCase, error) {
-	plan, err := tracePlan(opts.Context, func() (*Plan, error) {
-		p, err := planFromModel(m)
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{plan: p, shards: opts.resolveWorkers(len(p.labelPairs))}, nil
-	})
-	if err != nil {
-		return sim.WorstCase{}, err
-	}
-	return runPlan(m, plan, opts, CheckpointConfig{})
-}
-
-// NewModelPlan compiles any model and fixes its shard decomposition.
-// shards <= 0 selects DefaultCheckpointShards; the count is clamped to
-// [1, label pairs] exactly as ModelPlanShards reports. The
-// decomposition is a pure function of (model, shards): every process
-// compiling the same search with the same requested count derives the
-// same boundaries — the determinism contract checkpoint/resume and the
-// cluster dispatcher rely on.
-func NewModelPlan(m model.Model, shards int) (*Plan, error) {
-	p, err := planFromModel(m)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{plan: p, shards: resolveShardCount(len(p.labelPairs), shards)}, nil
 }
 
 // ModelPlanShards returns the shard count NewModelPlan would fix,

@@ -4,41 +4,53 @@ import (
 	"context"
 	"fmt"
 
+	"rendezvous/internal/meetoracle"
 	"rendezvous/internal/sim"
+	"rendezvous/internal/trace"
 )
 
-// This file exports the engine's fixed shard decomposition as a
-// reusable execution substrate. The contract — shards fixed by the
-// space and the requested count alone (never the worker count), each
-// shard executable independently on the dispatched tier, results
-// folded in shard order with the strictly-greater merge — is the one
-// the in-process driver (SearchModel, SearchModelCheckpointed) runs
-// on, and the distributed dispatcher (internal/cluster) is built on
+// This file holds the engine's one compiled form of a search, Plan: a
+// fixed shard decomposition that doubles as a reusable execution
+// substrate. The contract — shards fixed by the space and the
+// requested count alone (never the worker count), each shard
+// executable independently on the dispatched tier, results folded in
+// shard order with the strictly-greater merge — is the one the
+// in-process driver (SearchModel, SearchModelCheckpointed) runs on,
+// and the distributed dispatcher (internal/cluster) is built on
 // exactly the same contract: any two processes that compile the same
 // search with the same shard count derive identical shard boundaries,
 // so shards can be computed anywhere (another goroutine, another
 // process, another machine) and merged bit-for-bit identically to a
-// local SearchModel.
+// local SearchModel. Every shard, local, checkpointed or on a cluster
+// worker, is built by NewModelPlan and executed (and traced) by
+// Plan.RunShard.
 
-// Plan is a search lowered onto its fixed shard decomposition: an
-// expanded (symmetry-reduced) enumeration, the dispatched tier
-// executor, and a shard count clamped to the label-pair space.
-// NewModelPlan builds one. A Plan is immutable once built;
-// RunShard is safe for concurrent calls on any shards (including the
-// same shard twice — shard execution is deterministic and side-effect
-// free).
+// Plan is a search lowered onto its fixed shard decomposition: the
+// expanded (symmetry-reduced) enumeration, the executor the dispatched
+// tier sweeps one contiguous slice of label pairs with, and a shard
+// count clamped to the label-pair space. NewModelPlan builds one. A
+// Plan is immutable once built; RunShard is safe for concurrent calls
+// on any shards (including the same shard twice — shard execution is
+// deterministic and side-effect free).
 type Plan struct {
-	plan   *searchPlan
+	labelPairs [][2]int
+	startPairs [][2]int
+	delays     []int
+	// tier is the executor the sweep dispatches to, after auto
+	// selection and degenerate-space fallbacks. oracle is the shared
+	// read-only meeting-table oracle of a table-tier plan that
+	// newSearchPlan built (nil otherwise, and nil on every plan
+	// NewModelPlan lowers through model.Compiled); tests use both to
+	// pin dispatch decisions and the prepared-before-fan-out contract.
+	tier   Tier
+	oracle *meetoracle.Oracle
+	sweep  func(ctx context.Context, shard [][2]int) (sim.WorstCase, error)
 	shards int
 }
 
 // Shards returns the plan's fixed shard count (>= 1; an empty space
 // still has one shard that sweeps nothing, like the plain search).
 func (p *Plan) Shards() int { return p.shards }
-
-// LabelPairs returns the size of the plan's expanded label-pair
-// enumeration — the space the shards partition.
-func (p *Plan) LabelPairs() int { return len(p.plan.labelPairs) }
 
 // PlanInfo describes a compiled plan's fixed decomposition — what the
 // engine's "plan" span records about a search before any shard runs.
@@ -58,11 +70,11 @@ type PlanInfo struct {
 // Info reports the plan's decomposition.
 func (p *Plan) Info() PlanInfo {
 	return PlanInfo{
-		Tier:       p.plan.tier,
+		Tier:       p.tier,
 		Shards:     p.shards,
-		LabelPairs: len(p.plan.labelPairs),
-		StartPairs: len(p.plan.startPairs),
-		Delays:     len(p.plan.delays),
+		LabelPairs: len(p.labelPairs),
+		StartPairs: len(p.startPairs),
+		Delays:     len(p.delays),
 	}
 }
 
@@ -71,6 +83,13 @@ func (p *Plan) Info() PlanInfo {
 // WorstCase. A nil ctx means context.Background(). Merging every
 // shard's result in shard order (MergeShards) yields output bit-for-bit
 // identical to SearchModel.
+//
+// RunShard is the engine's one shard executor, so it is also where a
+// shard is traced: under a ctx carrying an internal/trace span it
+// opens a "shard.exec" leaf span beneath it, tagged with the shard,
+// the shard count, the tier and the shard's run count (0, plus the
+// "error", when the shard fails). An untraced shard builds no span
+// and no attribute.
 func (p *Plan) RunShard(ctx context.Context, shard int) (sim.WorstCase, error) {
 	if shard < 0 || shard >= p.shards {
 		return sim.WorstCase{}, fmt.Errorf("adversary: shard %d out of range [0,%d)", shard, p.shards)
@@ -78,8 +97,22 @@ func (p *Plan) RunShard(ctx context.Context, shard int) (sim.WorstCase, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	lo, hi := shardBounds(len(p.plan.labelPairs), p.shards, shard)
-	return p.plan.sweep(ctx, p.plan.labelPairs[lo:hi])
+	var span *trace.Span
+	if trace.FromContext(ctx) != nil {
+		span = trace.StartLeaf(ctx, "shard.exec", trace.Int("shard", shard),
+			trace.Int("shards", p.shards), trace.String("tier", p.tier.String()))
+	}
+	lo, hi := shardBounds(len(p.labelPairs), p.shards, shard)
+	wc, err := p.sweep(ctx, p.labelPairs[lo:hi])
+	if span != nil {
+		runs := 0
+		if err == nil {
+			runs = wc.Runs
+		}
+		span.SetAttr(trace.Int("runs", runs))
+		endSpan(span, err)
+	}
+	return wc, err
 }
 
 // MergeShards folds per-shard results in shard order with the engine's

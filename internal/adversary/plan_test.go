@@ -75,8 +75,8 @@ func TestPlanShardsAgreesWithNewPlan(t *testing.T) {
 			if plan.Shards() != want {
 				t.Errorf("%s/%d: ModelPlanShards %d != NewModelPlan %d", name, requested, want, plan.Shards())
 			}
-			if requested == 0 && want != min(DefaultCheckpointShards, plan.LabelPairs()) {
-				t.Errorf("%s: default shards %d, want min(%d, %d)", name, want, DefaultCheckpointShards, plan.LabelPairs())
+			if requested == 0 && want != min(DefaultCheckpointShards, plan.Info().LabelPairs) {
+				t.Errorf("%s: default shards %d, want min(%d, %d)", name, want, DefaultCheckpointShards, plan.Info().LabelPairs)
 			}
 		}
 	}

@@ -34,22 +34,14 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"rendezvous/internal/admission"
 )
 
-// Tenant is the identity a token grants.
-type Tenant struct {
-	// ID names the tenant (admission queues, rate buckets, metrics and
-	// request logs are keyed by it).
-	ID string
-	// Weight is the tenant's fair share in the admission scheduler.
-	Weight int
-	// Rate is the sustained request budget in requests/second
-	// (0 = unlimited).
-	Rate float64
-	// Burst is the rate bucket size (0 = the admission default,
-	// max(1, Rate)).
-	Burst float64
-}
+// Tenant is the identity a token grants: the admission scheduler's
+// own tenant type, so an authenticated identity is scheduled as is.
+// Its ID also keys metrics and request logs.
+type Tenant = admission.Tenant
 
 // Anonymous is the tenant of every request when authentication is
 // disabled: weight 1, no rate limit — the single-tenant daemon's

@@ -43,8 +43,7 @@ func (o Options) search(m model.Model) (sim.WorstCase, error) {
 			return wc, nil
 		}
 	}
-	wc, err := adversary.SearchModelCheckpointed(m, opts,
-		adversary.CheckpointConfig{Path: o.CheckpointDir, Fingerprint: fp})
+	wc, err := adversary.SearchModelCheckpointed(m, opts, adversary.CheckpointConfig{Path: o.CheckpointDir})
 	if err != nil {
 		return sim.WorstCase{}, err
 	}

@@ -1,7 +1,6 @@
 // Package orbits computes orbit decompositions of adversary start-pair
 // spaces under a group of port-preserving graph automorphisms
-// (graph.Automorphisms), with canonical representatives and witness
-// lift-back maps.
+// (graph.Automorphisms), with canonical representatives.
 //
 // Because a port-preserving automorphism φ carries whole executions
 // onto executions — the trajectory of any schedule from φ(v) is the
@@ -31,10 +30,6 @@ import (
 type Pairs struct {
 	reps    [][2]int
 	classOf map[[2]int]int
-	// via[p] maps p's representative onto p — the witness lift-back:
-	// a worst case observed at the representative transports to the
-	// equivalent configuration at p by applying via[p] to both starts.
-	via map[[2]int]graph.Automorphism
 }
 
 // Compute decomposes pairs into orbits under the given automorphisms,
@@ -47,10 +42,7 @@ func Compute(auts []graph.Automorphism, pairs [][2]int) (*Pairs, error) {
 	if len(auts) > 0 {
 		n = len(auts[0])
 	}
-	o := &Pairs{
-		classOf: make(map[[2]int]int, len(pairs)),
-		via:     make(map[[2]int]graph.Automorphism, len(pairs)),
-	}
+	o := &Pairs{classOf: make(map[[2]int]int, len(pairs))}
 	for i, p := range pairs {
 		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
 			return nil, fmt.Errorf("orbits: pair %d = %v out of range [0,%d)", i, p, n)
@@ -64,25 +56,15 @@ func Compute(auts []graph.Automorphism, pairs [][2]int) (*Pairs, error) {
 			img := [2]int{a[p[0]], a[p[1]]}
 			if _, seen := o.classOf[img]; !seen {
 				o.classOf[img] = class
-				o.via[img] = a
 			}
 		}
 		// Defensive: guarantee the representative is classified even if
 		// the caller's group misses the identity.
 		if _, seen := o.classOf[p]; !seen {
 			o.classOf[p] = class
-			o.via[p] = identity(n)
 		}
 	}
 	return o, nil
-}
-
-func identity(n int) graph.Automorphism {
-	id := make(graph.Automorphism, n)
-	for i := range id {
-		id[i] = i
-	}
-	return id
 }
 
 // Count returns the number of orbits among the listed pairs.
@@ -101,13 +83,4 @@ func (o *Pairs) Representative(p [2]int) ([2]int, bool) {
 		return [2]int{}, false
 	}
 	return o.reps[class], true
-}
-
-// Lift returns the automorphism carrying p's representative onto p —
-// the witness lift-back map: if a worst case is witnessed at starts
-// (r0, r1) = Representative(p), the identical outcome occurs at
-// (φ(r0), φ(r1)) = p for φ = Lift(p).
-func (o *Pairs) Lift(p [2]int) (graph.Automorphism, bool) {
-	a, ok := o.via[p]
-	return a, ok
 }

@@ -18,6 +18,7 @@ import (
 	"rendezvous/internal/resultstore"
 	"rendezvous/internal/scenario"
 	"rendezvous/internal/sim"
+	"rendezvous/internal/trace"
 )
 
 // newWorker boots an in-process worker daemon (a plain Server — every
@@ -219,13 +220,21 @@ func TestDistributedEquivalenceMatrix(t *testing.T) {
 // TestShardEndpoint exercises the worker side of the protocol
 // directly: well-formed shards execute and cache, and every
 // disagreement (fingerprint, shard count, range, malformed bodies) is
-// rejected with the right status.
+// rejected with the right status. The worker traces, so each executed
+// shard's response also carries its span tree: exactly one
+// "shard.exec" (the span Plan.RunShard opens) under the worker's root,
+// next to a "plan" span carrying the decomposition.
 func TestShardEndpoint(t *testing.T) {
 	store, err := resultstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := newWorker(t, store)
+	srv, err := New(Config{Store: store, MaxConcurrent: 4, Workers: 1, Tracer: trace.New(trace.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 
 	// /shard bodies carry the lowered scenario document, not the
 	// /search request that spelled it.
@@ -285,6 +294,7 @@ func TestShardEndpoint(t *testing.T) {
 			t.Errorf("shard %d: served %+v != local %+v", i, *out.Result, localShard)
 		}
 		results[i] = *out.Result
+		checkShardSpans(t, out, plan.Info())
 	}
 	if got, want := adversary.MergeShards(results), localWant(t, `{"scenario":`+doc+`}`); got != want {
 		t.Errorf("merged shards %+v != local search %+v", got, want)
@@ -335,6 +345,50 @@ func TestShardEndpoint(t *testing.T) {
 			t.Errorf("status %d, want 400", resp.StatusCode)
 		}
 	})
+}
+
+// checkShardSpans asserts the span tree of one executed /shard
+// response: exactly one "shard.exec", a child of the worker's root,
+// tagged with the shard, the shard count, the tier and the shard's
+// runs, and a "plan" sibling carrying the tier and the enumeration
+// sizes. Attributes cross the wire as JSON, so numbers are float64.
+func checkShardSpans(t *testing.T, out cluster.ShardResponse, info adversary.PlanInfo) {
+	t.Helper()
+	var root string
+	for _, s := range out.Spans {
+		if s.ParentID == "" {
+			root = s.SpanID
+		}
+	}
+	var execs, plans []trace.SpanRecord
+	for _, s := range out.Spans {
+		switch s.Name {
+		case "shard.exec":
+			execs = append(execs, s)
+		case "plan":
+			plans = append(plans, s)
+		}
+	}
+	if root == "" || len(execs) != 1 || execs[0].ParentID != root || len(plans) != 1 || plans[0].ParentID != root {
+		t.Fatalf("shard %d: spans %+v, want one shard.exec and one plan under the root", out.Shard, out.Spans)
+	}
+	for key, want := range map[string]any{
+		"shard": float64(out.Shard), "shards": float64(info.Shards), "tier": info.Tier.String(), "runs": float64(out.Result.Runs),
+	} {
+		if got := execs[0].Attrs.Get(key); got != want {
+			t.Errorf("shard %d: shard.exec %s = %v, want %v", out.Shard, key, got, want)
+		}
+	}
+	if execs[0].Attrs.Get("error") != nil {
+		t.Errorf("shard %d: shard.exec carries an error: %v", out.Shard, execs[0].Attrs)
+	}
+	for key, want := range map[string]any{
+		"tier": info.Tier.String(), "labelPairs": float64(info.LabelPairs), "startPairs": float64(info.StartPairs),
+	} {
+		if got := plans[0].Attrs.Get(key); got != want {
+			t.Errorf("shard %d: plan %s = %v, want %v", out.Shard, key, got, want)
+		}
+	}
 }
 
 // TestCoordinatorServer runs a coordinator daemon end to end: /search

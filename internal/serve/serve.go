@@ -620,12 +620,6 @@ func metaOf(r *http.Request) *requestMeta {
 	return &requestMeta{tenant: auth.Anonymous}
 }
 
-// admissionTenant lowers the authenticated identity onto the
-// admission scheduler's terms.
-func admissionTenant(t auth.Tenant) admission.Tenant {
-	return admission.Tenant{ID: t.ID, Weight: t.Weight, Rate: t.Rate, Burst: t.Burst}
-}
-
 // statusRecorder captures the response status for the request log and
 // counter. It forwards Flush so NDJSON streaming keeps working behind
 // the middleware.
@@ -874,7 +868,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// request deduplicated onto an existing flight is never
 	// double-charged.
 	rateSpan := trace.StartLeaf(r.Context(), "ratecheck")
-	err := s.adm.Allow(admissionTenant(m.tenant))
+	err := s.adm.Allow(m.tenant)
 	rateSpan.End()
 	if err != nil {
 		var oe *admission.OverloadError
@@ -950,7 +944,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if opts.Workers == 0 {
 			opts.Workers = s.workers
 		}
-		go s.run(f, trace.ContextWith(f.ctx, root), admissionTenant(m.tenant), sc, mdl, opts)
+		go s.run(f, trace.ContextWith(f.ctx, root), m.tenant, sc, mdl, opts)
 	}
 
 	if req.Stream {
@@ -1243,7 +1237,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// recoverMiddleware, and a leaked slot would wedge the pool
 	// permanently.
 	queueSpan := trace.StartLeaf(r.Context(), "queue")
-	release, aerr := s.adm.Acquire(r.Context(), admissionTenant(m.tenant))
+	release, aerr := s.adm.Acquire(r.Context(), m.tenant)
 	queueSpan.End()
 	if aerr != nil {
 		var oe *admission.OverloadError
@@ -1276,17 +1270,15 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			}
 			s.storePlan(planKey, plan)
 		}
-		planSpan.SetAttr(trace.String("tier", plan.Info().Tier.String()))
-		planSpan.End()
-		execSpan := trace.StartLeaf(ctx, "execute",
-			trace.Int("shard", sreq.Shard), trace.String("tier", plan.Info().Tier.String()),
-			trace.Int("labelPairs", plan.Info().LabelPairs), trace.Int("startPairs", plan.Info().StartPairs))
-		out, rerr := plan.RunShard(ctx, sreq.Shard)
-		if rerr == nil {
-			execSpan.SetAttr(trace.Int("runs", out.Runs))
+		if planSpan != nil {
+			info := plan.Info()
+			planSpan.SetAttr(trace.String("tier", info.Tier.String()),
+				trace.Int("labelPairs", info.LabelPairs), trace.Int("startPairs", info.StartPairs))
 		}
-		execSpan.End()
-		return out, rerr
+		planSpan.End()
+		// RunShard traces the shard ("shard.exec") under the request's
+		// root span.
+		return plan.RunShard(ctx, sreq.Shard)
 	}()
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, cluster.ShardResponse{Fingerprint: fp, Shard: sreq.Shard, Shards: sreq.Shards, Error: err.Error(), Spans: root.Snapshot()})

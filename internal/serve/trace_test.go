@@ -109,8 +109,8 @@ func TestClusterTraceSpansBothDaemons(t *testing.T) {
 	if names["shard"] == 0 {
 		t.Errorf("no adopted worker root spans in the trace (names %v)", names)
 	}
-	if names["execute"] == 0 {
-		t.Errorf("no worker execute spans in the trace (names %v)", names)
+	if names["shard.exec"] == 0 {
+		t.Errorf("no worker shard.exec spans in the trace (names %v)", names)
 	}
 	if names["shard.dispatch"] == 0 {
 		t.Errorf("no coordinator dispatch-attempt spans in the trace (names %v)", names)
