@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -97,7 +98,12 @@ func matchExperimentsDoc(tables []*Table) error {
 // TestCommittedScenarioFilesParse pins that every committed scenario
 // file parses, names a real experiment, and compiles end to end: one
 // file per experiment, the engine-backed experiments' only spelling of
-// their searches.
+// their searches. It also pins every compiled search's fingerprint to
+// its line in testdata/fingerprints.txt ("E<n>.json#<i> <hex>", i the
+// search's index in its file). Store records are keyed by these
+// addresses. The model goldens hash under 16 KiB each; 112 of these
+// searches hash more than 4 KiB and E14's first hashes about 17 MB, so
+// an encoder change that alters only long byte streams shows up here.
 func TestCommittedScenarioFilesParse(t *testing.T) {
 	matches, err := fs.Glob(scenarios.FS, "E*.json")
 	if err != nil || len(matches) == 0 {
@@ -106,6 +112,7 @@ func TestCommittedScenarioFilesParse(t *testing.T) {
 	if len(matches) != len(Registry()) {
 		t.Fatalf("found %d scenario files, want one per experiment (%d)", len(matches), len(Registry()))
 	}
+	pinned := readPinnedFingerprints(t)
 	for _, name := range matches {
 		data, err := scenarios.FS.ReadFile(name)
 		if err != nil {
@@ -121,10 +128,52 @@ func TestCommittedScenarioFilesParse(t *testing.T) {
 		if _, err := ByID(f.Experiment); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := f.CompileAll(scenario.Options{}); err != nil {
+		models, err := f.CompileAll(scenario.Options{})
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		for i, m := range models {
+			id := fmt.Sprintf("%s#%d", name, i)
+			fp, err := m.Fingerprint()
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			want, ok := pinned[id]
+			delete(pinned, id)
+			if !ok {
+				t.Errorf("%s: fingerprint %s is not pinned in testdata/fingerprints.txt", id, fp)
+			} else if fp != want {
+				t.Errorf("%s: fingerprint %s, testdata/fingerprints.txt pins %s", id, fp, want)
+			}
+		}
 	}
+	stale := make([]string, 0, len(pinned))
+	for id := range pinned {
+		stale = append(stale, id)
+	}
+	sort.Strings(stale)
+	for _, id := range stale {
+		t.Errorf("testdata/fingerprints.txt pins %s, which no scenario file compiles to", id)
+	}
+}
+
+// readPinnedFingerprints reads testdata/fingerprints.txt into a map
+// from search ID to fingerprint.
+func readPinnedFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/fingerprints.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make(map[string]string)
+	for i, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		id, fp, ok := strings.Cut(line, " ")
+		if !ok || len(fp) != 64 || pinned[id] != "" {
+			t.Fatalf("testdata/fingerprints.txt:%d: malformed or duplicate line %q", i+1, line)
+		}
+		pinned[id] = fp
+	}
+	return pinned
 }
 
 func TestRegistryAndByID(t *testing.T) {

@@ -362,7 +362,10 @@ func TestDynamicFingerprint(t *testing.T) {
 // value. Store records and checkpointed shards are keyed by these
 // addresses, so any change to either model's canonical encoding —
 // a reordered section, a different salt, a new tail — would silently
-// orphan every stored result and must instead show up here.
+// orphan every stored result and must instead show up here. The
+// dynamic-torus row hashes about 15 KiB, so its bytes pass through
+// several of the encoder's buffer flushes; the other rows hash under
+// 4 KiB each and reach the digest in one piece.
 func TestFingerprintGolden(t *testing.T) {
 	spec := adversary.Spec{Graph: graph.Grid(2, 3), Explorer: explore.DFS{}, ScheduleFor: scheduleFor(core.Cheap{}, 4)}
 	space := sim.SearchSpace{L: 4, Delays: []int{0, 1}}
@@ -376,6 +379,11 @@ func TestFingerprintGolden(t *testing.T) {
 			Graph: spec.Graph, Explorer: spec.Explorer, ScheduleFor: spec.ScheduleFor, Space: space,
 			Phases: []model.Phase{{Rounds: 2, Disable: [][2]int{{0, 1}, {1, 2}}}, {Rounds: 1}},
 		}, "ed3cc05f189819c41561a593fae1c4bba802563d1151ed661ee295e6adb1ec2c"},
+		{"dynamic-torus", model.Dynamic{
+			Graph: graph.Torus(4, 4), Explorer: explore.DFS{}, ScheduleFor: scheduleFor(core.Cheap{}, 16),
+			Space:  sim.SearchSpace{L: 16, Delays: []int{0, 1, 7}},
+			Phases: []model.Phase{{Rounds: 3, Disable: [][2]int{{1, 0}, {5, 6}}}, {Rounds: 2, Disable: [][2]int{{4, 8}}}, {Rounds: 1}},
+		}, "59fd1a786a0f825763f51b572194f58a0eb9e4bb44bd8d43a7d39e34b88ee238"},
 	} {
 		got, err := tc.m.Fingerprint()
 		if err != nil {

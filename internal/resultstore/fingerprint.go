@@ -40,7 +40,10 @@
 // witnesses are unchanged, but the record stores the full struct).
 //
 // Encoder exports this encoding, so every model's fingerprint applies
-// the same rules under its own domain salt.
+// the same rules under its own domain salt. It buffers the encoded
+// bytes and hands them to SHA-256 a few KiB at a time; the digest sees
+// the byte sequence unbuffered writes would give, so the buffer never
+// shows in a fingerprint.
 package resultstore
 
 import (
@@ -49,7 +52,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"io"
 	"sort"
 
 	"rendezvous/internal/explore"
@@ -83,41 +85,71 @@ type Key struct {
 	Symmetry string
 }
 
+// encoderChunk is the size of an Encoder's buffer: encoded bytes reach
+// the digest in writes of at most this many.
+const encoderChunk = 4 << 10
+
 // Encoder writes a fingerprint's canonical byte sequence into a
 // SHA-256 hash: fixed-width little-endian integers and length-prefixed
 // strings, so every component contributes an unambiguous byte
 // sequence. It is the one encoder behind every model's fingerprint:
 // a domain salt, the search sections every model shares (Search), then
 // the model's own tail.
+//
+// The encoder writes values into a buffer it owns and hands the
+// digest a full buffer at a time, so a value costs no allocation and
+// no hash call. An Encoder is used through the pointer NewEncoder
+// returns: a copy would share the digest but not the buffer, and the
+// two byte streams would interleave. It is not safe for concurrent
+// use.
 type Encoder struct {
-	h hash.Hash
+	h   hash.Hash
+	n   int
+	buf [encoderChunk]byte
 }
 
 // NewEncoder starts a fingerprint in the domain named by salt. Models
 // with different salts can never share a fingerprint.
-func NewEncoder(salt string) Encoder {
-	e := Encoder{h: sha256.New()}
+func NewEncoder(salt string) *Encoder {
+	e := &Encoder{h: sha256.New()}
 	e.Str(salt)
 	return e
 }
 
 // Ints encodes each value as a fixed-width little-endian integer.
-func (e Encoder) Ints(vals ...int) {
+func (e *Encoder) Ints(vals ...int) {
 	for _, v := range vals {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		e.h.Write(buf[:])
+		if e.n > encoderChunk-8 {
+			e.flush()
+		}
+		binary.LittleEndian.PutUint64(e.buf[e.n:], uint64(int64(v)))
+		e.n += 8
 	}
 }
 
 // Str encodes a length-prefixed string.
-func (e Encoder) Str(s string) {
+func (e *Encoder) Str(s string) {
 	e.Ints(len(s))
-	io.WriteString(e.h, s)
+	for len(s) > 0 {
+		if e.n == encoderChunk {
+			e.flush()
+		}
+		n := copy(e.buf[e.n:], s)
+		e.n += n
+		s = s[n:]
+	}
 }
 
-// Sum returns the fingerprint as a 64-character hex string.
-func (e Encoder) Sum() string {
+// flush hands the buffered bytes to the digest.
+func (e *Encoder) flush() {
+	e.h.Write(e.buf[:e.n])
+	e.n = 0
+}
+
+// Sum returns the fingerprint as a 64-character hex string. Encoding
+// may continue afterwards; a later Sum covers everything encoded.
+func (e *Encoder) Sum() string {
+	e.flush()
 	return hex.EncodeToString(e.h.Sum(nil))
 }
 
@@ -128,7 +160,7 @@ func (e Encoder) Sum() string {
 // fails when the space does not expand on the graph or the explorer
 // rejects it, leaving the encoder unusable; callers prefix the error
 // with their own name.
-func (e Encoder) Search(g *graph.Graph, ex explore.Explorer, scheduleFor func(label int) sim.Schedule, space sim.SearchSpace) error {
+func (e *Encoder) Search(g *graph.Graph, ex explore.Explorer, scheduleFor func(label int) sim.Schedule, space sim.SearchSpace) error {
 	n := g.N()
 	labelPairs, startPairs, delays, err := space.Expand(n)
 	if err != nil {

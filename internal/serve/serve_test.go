@@ -268,6 +268,9 @@ func TestSingleFlight(t *testing.T) {
 		<-release
 		return want, nil
 	}
+	releaseEngine := sync.OnceFunc(func() { close(release) })
+	// A failed wait below must not leave ts.Close waiting on the engine.
+	t.Cleanup(releaseEngine)
 
 	var wg sync.WaitGroup
 	responses := make([]Response, clients)
@@ -288,12 +291,22 @@ func TestSingleFlight(t *testing.T) {
 		}(i)
 	}
 
-	// Release the engine only after the first request reached it; the
-	// others have either joined the flight or will find the store
-	// populated — in both cases the engine must not run again.
+	// Release the engine only once every request has joined its
+	// flight. A straggler arriving after the release would find the
+	// store filled: the engine would still run once, but that response
+	// would not be shared.
 	<-started
-	time.Sleep(50 * time.Millisecond) // let the stragglers join the flight
-	close(release)
+	waitFor(t, func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, f := range srv.inflight {
+			if f.refs == clients {
+				return true
+			}
+		}
+		return false
+	})
+	releaseEngine()
 	wg.Wait()
 
 	if got := invocations.Load(); got != 1 {
