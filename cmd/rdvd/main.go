@@ -30,7 +30,8 @@
 //	               listing the models this daemon serves.
 //	POST /shard    one shard of a search's fixed decomposition (what a
 //	               coordinator sends its workers; same validation and
-//	               caps as /search)
+//	               caps as /search, then the same store lookup,
+//	               single-flight and engine pool, keyed by the shard)
 //	GET  /healthz  liveness probe (also the coordinator's peer probe)
 //	GET  /index    the store's index (what -index prints)
 //	GET  /metrics  Prometheus text metrics (queue depths, pool

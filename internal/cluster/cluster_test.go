@@ -367,10 +367,14 @@ func TestShardStoreCache(t *testing.T) {
 }
 
 // TestCancellation: a cancelled context aborts the dispatch with the
-// context's error.
+// context's error. The context is cancelled once the slow worker has
+// received a shard, so the cancellation lands mid-dispatch.
 func TestCancellation(t *testing.T) {
 	slow := newFakeWorker(t)
+	received := make(chan struct{})
+	var once sync.Once
 	slow.inject = func(w http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(received) })
 		select {
 		case <-r.Context().Done():
 		case <-time.After(10 * time.Second):
@@ -379,9 +383,13 @@ func TestCancellation(t *testing.T) {
 	slow.breakFirst.Store(1 << 30)
 	d := dispatcher(t, Config{ShardTimeout: time.Minute}, slow)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
+		select {
+		case <-received:
+			cancel()
+		case <-ctx.Done():
+		}
 	}()
 	if _, err := d.Search(ctx, json.RawMessage(`{}`), testFP, 3, nil); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -412,9 +420,16 @@ func TestConfigValidation(t *testing.T) {
 
 // TestPerPeerInflight: with PerPeerInflight > 1, a single peer holds
 // several shards concurrently (keeping a multi-core worker's engine
-// pool busy), and the merge is unchanged.
+// pool busy), and the merge is unchanged. The peer holds each shard
+// until a second one is in flight (or a 10s deadline passes, so a
+// dispatcher that never overlaps fails the peak assertion instead of
+// hanging the test).
 func TestPerPeerInflight(t *testing.T) {
 	var cur, peak atomic.Int32
+	overlapped := make(chan struct{})
+	var once sync.Once
+	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"ok":true}`)
@@ -433,7 +448,13 @@ func TestPerPeerInflight(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		time.Sleep(20 * time.Millisecond) // hold the slot so pullers overlap
+		if c >= 2 {
+			once.Do(func() { close(overlapped) })
+		}
+		select {
+		case <-overlapped:
+		case <-deadline.Done():
+		}
 		wc := scriptedResult(req.Shard)
 		json.NewEncoder(w).Encode(ShardResponse{Fingerprint: req.Fingerprint, Shard: req.Shard, Shards: req.Shards, Result: &wc})
 	})

@@ -33,6 +33,9 @@ const benchBody = `{"graph":{"family":"grid","rows":4,"cols":4},"algorithm":"fas
 func BenchmarkDistributedGridSweep(b *testing.B) {
 	for _, peers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			// No perfbench workload loads /shard, so this benchmark's
+			// allocations are the one measure of the worker's path.
+			b.ReportAllocs()
 			var urls []string
 			for i := 0; i < peers; i++ {
 				urls = append(urls, newWorker(b, nil).URL)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rendezvous/internal/adversary"
+	"rendezvous/internal/auth"
 	"rendezvous/internal/cluster"
 	"rendezvous/internal/resultstore"
 	"rendezvous/internal/scenario"
@@ -345,6 +346,103 @@ func TestShardEndpoint(t *testing.T) {
 			t.Errorf("status %d, want 400", resp.StatusCode)
 		}
 	})
+}
+
+// TestShardSingleFlight: identical concurrent /shard requests share one
+// execution, as identical /search requests do. The worker's only engine
+// slot is held until every request is in — queued for the slot, or
+// waiting on the flight of a request that is — so each one must be
+// answered by an execution; once the slot is released, exactly one
+// response's span tree holds a "shard.exec", and every response carries
+// the shard's result.
+func TestShardSingleFlight(t *testing.T) {
+	srv, err := New(Config{MaxConcurrent: 1, Workers: 1, Tracer: trace.New(trace.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	doc := `{"version":1,"graph":{"family":"ring","n":6},"explorer":"ring-sweep","algorithm":"cheap","l":3,"delays":[0,1]}`
+	var req Request
+	if err := json.Unmarshal([]byte(`{"scenario":`+doc+`}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	m := compileRequest(t, req)
+	fp, err := m.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := adversary.NewModelPlan(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shard = 1
+	want, err := plan.RunShard(context.Background(), shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(cluster.ShardRequest{Search: json.RawMessage(doc), Fingerprint: fp, Shard: shard, Shards: plan.Shards()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release, err := srv.Admission().Acquire(context.Background(), auth.Anonymous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A failed wait below must not leave the requests queued forever.
+	releaseSlot := sync.OnceFunc(release)
+	t.Cleanup(releaseSlot)
+
+	const clients = 3
+	var wg sync.WaitGroup
+	responses := make([]cluster.ShardResponse, clients)
+	statuses := make([]int, clients)
+	errs := make([]error, clients)
+	wg.Add(clients)
+	for i := 0; i < clients; i++ {
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/shard", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			errs[i] = json.NewDecoder(resp.Body).Decode(&responses[i])
+		}(i)
+	}
+	waitFor(t, func() bool {
+		in := srv.Admission().Stats().Queued[auth.Anonymous.ID]
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, f := range srv.inflight {
+			in += f.refs - 1
+		}
+		return in == clients
+	})
+	releaseSlot()
+	wg.Wait()
+
+	execs := 0
+	for i := 0; i < clients; i++ {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if statuses[i] != http.StatusOK || responses[i].Result == nil || *responses[i].Result != want {
+			t.Errorf("client %d: status %d result %+v error %q, want %+v", i, statuses[i], responses[i].Result, responses[i].Error, want)
+		}
+		for _, s := range responses[i].Spans {
+			if s.Name == "shard.exec" {
+				execs++
+			}
+		}
+	}
+	if execs != 1 {
+		t.Errorf("%d shard executions for %d identical concurrent requests, want 1", execs, clients)
+	}
 }
 
 // checkShardSpans asserts the span tree of one executed /shard

@@ -11,16 +11,20 @@
 //     one validator for both spellings. Every malformed request dies
 //     here with a 400 — nothing below this line can panic the daemon.
 //  2. Fingerprint the compiled search (resultstore canonicalization:
-//     equivalent request spellings collide) and look it up in the
-//     store. A hit is answered immediately without touching the
-//     engine.
-//  3. Deduplicate identical in-flight searches: concurrent requests
-//     with the same fingerprint join one engine run (single-flight)
-//     and all receive its result.
-//  4. Run the search on a bounded worker pool (at most MaxConcurrent
-//     engine runs at once) under a context that is cancelled when
-//     every request waiting on the flight has gone away, and write
-//     the result back to the store.
+//     equivalent request spellings collide) and look its key up in
+//     the store: the fingerprint for /search, the shard's
+//     adversary.ShardFingerprint for /shard. A hit is answered
+//     immediately without touching the engine.
+//  3. Deduplicate identical in-flight work: concurrent requests with
+//     the same key join one flight (single-flight) and all receive
+//     its result.
+//  4. Run the flight — the engine, a coordinator's cluster dispatch,
+//     or one shard of the search's plan — under the search deadline
+//     and a context that is cancelled when every request waiting on
+//     the flight has gone away. Engine work takes a slot of a bounded
+//     pool (at most MaxConcurrent at once) first. The result is
+//     written back to the store under the flight's key; a panic fails
+//     the flight with a 500 instead of killing the daemon.
 //
 // Progress streaming: a request with "stream": true receives
 // newline-delimited JSON — one {"type":"progress"} event per
@@ -37,13 +41,14 @@
 //
 // Cluster roles: every server additionally serves POST /shard — one
 // shard of a search's fixed decomposition, with exactly the same
-// request validation and caps as /search, cached per shard in the
-// store — which makes any daemon usable as a cluster worker. A server
-// configured with Peers becomes a coordinator: /search keeps its whole
-// pipeline (validation, cache-first answering, single-flight,
-// streaming), but instead of running the engine locally it fans the
-// shard plan out to the peers through internal/cluster and merges the
-// results bit-for-bit identically to a local run.
+// request validation and caps as /search and, past them, the same
+// steps 2–4 — which makes any daemon usable as a cluster worker. A
+// server configured with Peers becomes a coordinator: /search keeps
+// its whole pipeline (validation, cache-first answering,
+// single-flight, streaming), but instead of running the engine
+// locally it fans the shard plan out to the peers through
+// internal/cluster and merges the results bit-for-bit identically to
+// a local run.
 package serve
 
 import (
@@ -343,10 +348,10 @@ type Config struct {
 // slots the same hour they took them.
 const DefaultSearchTimeout = 10 * time.Minute
 
-// flight is one in-flight engine run, shared by every concurrent
-// request with the same fingerprint.
+// flight is one in-flight execution — a search or one shard of it —
+// shared by every concurrent request with the same store key.
 type flight struct {
-	fp     string
+	key    string
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{} // closed when wc/err are final
@@ -396,6 +401,50 @@ func (f *flight) broadcast(completed, total int) {
 		}
 	}
 }
+
+// wait blocks until the flight finishes or the request's client goes
+// away, and reports whether the flight finished: the request must then
+// be answered. A streamed request (its NDJSON stream already started)
+// is sent the flight's progress meanwhile, the latest snapshot first
+// so a late joiner starts from the current state. A finished flight
+// always counts: when the client's context fires, f.done is re-checked
+// first, because with both channels ready the select picks at random —
+// a client that disconnected a moment after the flight finished (or a
+// context cancelled between the engine completing and this select
+// running) would otherwise sometimes get no answer for a search that
+// succeeded.
+func (f *flight) wait(w http.ResponseWriter, r *http.Request, stream bool) bool {
+	var events chan StreamEvent // nil, so never ready, unless streaming
+	if stream {
+		ch, completed, total := f.subscribe()
+		defer f.unsubscribe(ch)
+		if total > 0 {
+			writeEvent(w, StreamEvent{Type: "progress", Completed: completed, Total: total})
+		}
+		events = ch
+	}
+	for {
+		select {
+		case ev := <-events:
+			writeEvent(w, ev)
+		case <-f.done:
+			return true
+		case <-r.Context().Done():
+			select {
+			case <-f.done:
+				return true
+			default:
+				// The client is gone and the flight is still running;
+				// leave() cancels it if no other request waits on it.
+				return false
+			}
+		}
+	}
+}
+
+// execFunc is the work a flight runs, under the search deadline;
+// progress reports completed shards.
+type execFunc func(ctx context.Context, progress func(completed, total int)) (sim.WorstCase, error)
 
 // Server is the HTTP search service.
 type Server struct {
@@ -754,12 +803,22 @@ func (s *Server) authMiddleware(next http.Handler) http.Handler {
 	})
 }
 
-// writeOverload answers an admission refusal: 429 with a Retry-After
-// header carrying the controller's backoff hint (whole seconds,
-// rounded up, at least 1).
-func writeOverload(w http.ResponseWriter, oe *admission.OverloadError, body any) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(oe.RetryAfter)))
-	writeJSON(w, http.StatusTooManyRequests, body)
+// writeOutcome writes body under the status err maps to: 200 on
+// success; 429 when admission refused the request — the client's
+// signal to back off, not a server fault — with a Retry-After header
+// carrying the controller's backoff hint (whole seconds, rounded up,
+// at least 1); 500 otherwise.
+func writeOutcome(w http.ResponseWriter, err error, body any) {
+	status := http.StatusOK
+	if err != nil {
+		status = http.StatusInternalServerError
+		var oe *admission.OverloadError
+		if errors.As(err, &oe) {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(oe.RetryAfter)))
+			status = http.StatusTooManyRequests
+		}
+	}
+	writeJSON(w, status, body)
 }
 
 // retryAfterSeconds converts the controller's backoff hint to the
@@ -791,6 +850,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// writeEvent writes one line of a streamed answer and flushes it to
+// the client.
+func writeEvent(w http.ResponseWriter, ev StreamEvent) {
+	json.NewEncoder(w).Encode(ev)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -871,12 +939,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	err := s.adm.Allow(m.tenant)
 	rateSpan.End()
 	if err != nil {
-		var oe *admission.OverloadError
-		if errors.As(err, &oe) {
-			writeOverload(w, oe, Response{Error: oe.Error()})
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, Response{Error: err.Error()})
+		writeOutcome(w, err, Response{Error: err.Error()})
 		return
 	}
 	// Bound the body before decoding: an oversized document must fail
@@ -903,135 +966,138 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	m.fingerprint = fp
 	root := trace.FromContext(r.Context())
 	root.SetAttr(trace.String("fingerprint", fp))
+	if req.Stream {
+		// Every answer from here on is a 200 NDJSON stream: progress
+		// events, then one result or error event.
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+	}
 
-	// Cache hit: answered without touching the engine or the pool.
-	if s.store != nil {
-		cacheSpan := trace.StartLeaf(r.Context(), "cache")
-		wc, ok := s.store.Get(fp)
-		cacheSpan.SetAttr(trace.Bool("hit", ok))
-		cacheSpan.End()
-		if ok {
-			m.cached = true
-			s.mCacheHits.Inc()
-			s.mSearchSec.Observe(time.Since(start).Seconds(), "cache")
-			resp := Response{Fingerprint: fp, Cached: true, Result: &wc, TraceID: root.TraceID()}
-			if req.Timings {
-				resp.Timings = trace.Summarize(root.Snapshot(), root.SpanID())
-			}
-			if req.Stream {
-				s.streamFinal(w, StreamEvent{Type: "result", Fingerprint: fp, Cached: true, Result: &wc,
-					TraceID: resp.TraceID, Timings: resp.Timings})
-				return
-			}
-			writeJSON(w, http.StatusOK, resp)
+	// A hit is answered without touching the engine or the pool; a
+	// miss joins the search's flight, which its creator starts.
+	wc, ok := s.lookup(r.Context(), fp)
+	if ok {
+		m.cached = true
+		s.mCacheHits.Inc()
+		s.mSearchSec.Observe(time.Since(start).Seconds(), "cache")
+	} else {
+		s.mCacheMisses.Inc()
+		f, created := s.join(fp)
+		defer s.leave(f)
+		m.shared = !created
+		if created {
+			tier, exec := s.searchExec(sc, mdl, fp, req.Workers)
+			go s.run(f, trace.ContextWith(f.ctx, root), m.tenant, tier, exec)
+		}
+		if !f.wait(w, r, req.Stream) {
 			return
 		}
+		wc, err = f.wc, f.err
 	}
-	s.mCacheMisses.Inc()
+	answer(w, r, &req, Response{Fingerprint: fp, Cached: m.cached, Shared: m.shared}, wc, err)
+}
 
-	f, created := s.join(fp)
-	defer s.leave(f)
-	m.shared = !created
-	if created {
-		// The flight outlives this request, so its spans hang off the
-		// flight's own context — augmented with the creator's trace so
-		// queue wait, engine execution and the store write-back land in
-		// the creator's span tree. Requests that merely join the flight
-		// trace only their own (cheap) pipeline. The request's worker
-		// count is its one execution option (tier, symmetry and budgets
-		// are the model's own state).
-		opts := adversary.Options{Workers: req.Workers}
-		if opts.Workers == 0 {
-			opts.Workers = s.workers
-		}
-		go s.run(f, trace.ContextWith(f.ctx, root), m.tenant, sc, mdl, opts)
+// lookup answers key from the store under a cache span (a miss when
+// the server has no store).
+func (s *Server) lookup(ctx context.Context, key string) (sim.WorstCase, bool) {
+	if s.store == nil {
+		return sim.WorstCase{}, false
 	}
+	span := trace.StartLeaf(ctx, "cache")
+	wc, ok := s.store.Get(key)
+	span.SetAttr(trace.Bool("hit", ok))
+	span.End()
+	return wc, ok
+}
 
-	if req.Stream {
-		s.streamFlight(w, r, f, created, req.Timings)
+// answer writes a /search answer — a store hit or a finished flight —
+// as the JSON body or, when the request streams, as the stream's final
+// event. Every answer carries the request's trace ID, and its phase
+// timings when the request opted in. A failed search answers with its
+// error: unstreamed, under the status writeOutcome maps it to;
+// streamed, as an "error" event.
+func answer(w http.ResponseWriter, r *http.Request, req *Request, resp Response, wc sim.WorstCase, err error) {
+	root := trace.FromContext(r.Context())
+	resp.TraceID = root.TraceID()
+	if req.Timings && root != nil {
+		resp.Timings = trace.Summarize(root.Snapshot(), root.SpanID())
+	}
+	typ := "result"
+	if err != nil {
+		typ, resp.Error = "error", err.Error()
+	} else {
+		resp.Result = &wc
+	}
+	if !req.Stream {
+		writeOutcome(w, err, resp)
 		return
 	}
-	s.respondFlight(w, r, f, created, req.Timings)
+	writeEvent(w, StreamEvent{Type: typ, Fingerprint: resp.Fingerprint, Cached: resp.Cached, Shared: resp.Shared,
+		Result: resp.Result, Error: resp.Error, TraceID: resp.TraceID, Timings: resp.Timings})
 }
 
-// respondFlight writes the non-streaming /search answer once the
-// flight finishes. A completed result is always written when
-// available: when the client's context fires, f.done is re-checked
-// first, because with both channels ready the select picks at random —
-// a client that disconnected a moment after the flight finished (or a
-// context cancelled between the engine completing and this select
-// running) would otherwise sometimes get an empty body for a search
-// that succeeded.
-func (s *Server) respondFlight(w http.ResponseWriter, r *http.Request, f *flight, created, timings bool) {
-	root := trace.FromContext(r.Context())
-	explain := func() []trace.PhaseTiming {
-		if !timings || root == nil {
-			return nil
+// searchExec returns what a /search flight runs, with its
+// rdv_search_seconds tier: the engine under an "engine" span, or on a
+// coordinator the cluster dispatch under a "dispatch" span. The
+// request's worker count is its one execution option (tier, symmetry
+// and budgets are the model's own state). Only the flight creator
+// calls it: closures built in handleSearch itself would move the
+// request's locals to the heap on every request, cache hits included.
+// Kept out of line so `go build -gcflags=-m` reports the captured copy
+// of sc here, where only creators pay for it, and any handleSearch
+// local that moves to the heap stands out.
+//
+//go:noinline
+func (s *Server) searchExec(sc scenario.Search, m model.Model, fp string, workers int) (string, execFunc) {
+	if s.cluster != nil {
+		return "cluster", func(ctx context.Context, progress func(completed, total int)) (sim.WorstCase, error) {
+			ctx, span := trace.Start(ctx, "dispatch", trace.Int("peers", len(s.cluster.Peers())))
+			defer span.End()
+			return dispatch(ctx, s.cluster, sc, m, fp, s.shards, progress)
 		}
-		return trace.Summarize(root.Snapshot(), root.SpanID())
 	}
-	finish := func() {
-		if f.err != nil {
-			// An admission refusal surfacing through the flight (the
-			// creator's tenant queue was full) is the client's signal to
-			// back off, not a server fault.
-			var oe *admission.OverloadError
-			if errors.As(f.err, &oe) {
-				writeOverload(w, oe, Response{Fingerprint: f.fp, Shared: !created, Error: f.err.Error(), TraceID: root.TraceID()})
-				return
-			}
-			writeJSON(w, http.StatusInternalServerError, Response{Fingerprint: f.fp, Shared: !created, Error: f.err.Error(), TraceID: root.TraceID()})
-			return
-		}
-		wc := f.wc
-		writeJSON(w, http.StatusOK, Response{Fingerprint: f.fp, Shared: !created, Result: &wc, TraceID: root.TraceID(), Timings: explain()})
+	opts := adversary.Options{Workers: workers}
+	if workers == 0 {
+		opts.Workers = s.workers
 	}
-	select {
-	case <-f.done:
-		finish()
-	case <-r.Context().Done():
-		select {
-		case <-f.done:
-			finish()
-		default:
-			// The client is gone and the flight is still running;
-			// leave() cancels the engine if no other request waits on
-			// this flight.
-		}
+	return "engine", func(ctx context.Context, progress func(completed, total int)) (sim.WorstCase, error) {
+		ctx, span := trace.Start(ctx, "engine")
+		defer span.End()
+		return s.search(ctx, m, opts, progress)
 	}
 }
 
-// join returns the in-flight search for the fingerprint, creating it
-// if absent, and takes a reference on it.
-func (s *Server) join(fp string) (*flight, bool) {
+// join returns the in-flight execution for the key, creating it if
+// absent, and takes a reference on it.
+func (s *Server) join(key string) (*flight, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.inflight[fp]; ok {
+	if f, ok := s.inflight[key]; ok {
 		f.refs++
 		return f, false
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &flight{
-		fp:     fp,
+		key:    key,
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
 		subs:   make(map[chan StreamEvent]struct{}),
 		refs:   1,
 	}
-	s.inflight[fp] = f
+	s.inflight[key] = f
 	return f, true
 }
 
 // leave drops a reference; when the last waiting request abandons an
-// unfinished flight, the engine run is cancelled and the flight
+// unfinished flight, its execution is cancelled and the flight
 // unpublished so a later identical request starts fresh.
 func (s *Server) leave(f *flight) {
 	s.mu.Lock()
 	f.refs--
 	abandoned := f.refs == 0 && !f.finished
-	if abandoned && s.inflight[f.fp] == f {
-		delete(s.inflight, f.fp)
+	if abandoned && s.inflight[f.key] == f {
+		delete(s.inflight, f.key)
 	}
 	s.mu.Unlock()
 	if abandoned {
@@ -1039,71 +1105,67 @@ func (s *Server) leave(f *flight) {
 	}
 }
 
-// run executes the flight's search — locally on the bounded pool, or
-// fanned out across the cluster when the server is a coordinator —
-// and publishes the result. fctx is the flight's context augmented
-// with the creator's trace span (same cancellation as f.ctx). tenant
-// is the flight creator's identity: only the creator occupies an
-// admission queue slot; requests that join the flight later wait on
-// done without holding capacity.
-func (s *Server) run(f *flight, fctx context.Context, tenant admission.Tenant, sc scenario.Search, m model.Model, opts adversary.Options) {
-	var wc sim.WorstCase
-	var err error
-	if s.cluster != nil {
-		// Dispatch is network-bound: the compute happens on the peers,
-		// so it does not take a local engine-pool slot (a coordinator's
-		// throughput is its worker fleet, not its core count). The
-		// per-search timeout still bounds it.
-		ctx := fctx
-		if s.searchTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.searchTimeout)
-			defer cancel()
-		}
-		start := time.Now()
-		dctx, dispatchSpan := trace.Start(ctx, "dispatch", trace.Int("peers", len(s.cluster.Peers())))
-		wc, err = dispatch(dctx, s.cluster, sc, m, f.fp, s.shards, f.broadcast)
-		dispatchSpan.End()
-		s.mSearchSec.Observe(time.Since(start).Seconds(), "cluster")
-	} else {
-		// Acquire under the flight's context: when every request waiting
-		// on this flight disconnects, leave() cancels f.ctx and the
-		// queued waiter is dequeued immediately — a flight nobody wants
-		// can never be granted a slot.
-		queueSpan := trace.StartLeaf(fctx, "queue")
-		release, aerr := s.adm.Acquire(fctx, tenant)
-		queueSpan.End()
-		if aerr != nil {
-			err = aerr
-		} else {
-			ctx := fctx
-			if s.searchTimeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, s.searchTimeout)
-				defer cancel()
-			}
-			start := time.Now()
-			ectx, engineSpan := trace.Start(ctx, "engine")
-			wc, err = s.search(ectx, m, opts, f.broadcast)
-			engineSpan.End()
-			s.mSearchSec.Observe(time.Since(start).Seconds(), "engine")
-			release()
-		}
-	}
+// run executes flight f, writes a result back to the store under the
+// flight's key, and publishes the outcome to every request waiting on
+// the flight. ctx is the flight's context augmented with the creator's
+// trace span (same cancellation as f.ctx), so queue wait, execution and
+// the store write land in the creator's span tree; requests that join
+// the flight later trace only their own (cheap) pipeline. tenant is the
+// creator's identity: only the creator occupies an admission queue
+// slot; joiners wait on done without holding capacity.
+func (s *Server) run(f *flight, ctx context.Context, tenant admission.Tenant, tier string, exec execFunc) {
+	wc, err := s.execute(ctx, tenant, tier, exec, f.broadcast)
 	if err == nil && s.store != nil {
-		storeSpan := trace.StartLeaf(fctx, "store")
-		_ = s.store.Put(f.fp, wc) // best-effort write-back
+		storeSpan := trace.StartLeaf(ctx, "store")
+		_ = s.store.Put(f.key, wc) // best-effort write-back
 		storeSpan.End()
 	}
 	s.mu.Lock()
 	f.wc, f.err = wc, err
 	f.finished = true
-	if s.inflight[f.fp] == f {
-		delete(s.inflight, f.fp)
+	if s.inflight[f.key] == f {
+		delete(s.inflight, f.key)
 	}
 	s.mu.Unlock()
 	f.cancel() // release the context's resources
 	close(f.done)
+}
+
+// execute runs exec for run under the per-search deadline, timed into
+// rdv_search_seconds under tier. Every tier but "cluster" first takes
+// an engine-pool slot for tenant; a coordinator's dispatch is
+// network-bound (the compute happens on the peers, so its throughput is
+// its worker fleet, not its core count). The slot is acquired under the
+// flight's context: when every request waiting on the flight
+// disconnects, leave() cancels it and the queued waiter is dequeued
+// immediately — a flight nobody wants can never be granted a slot. The
+// flight runs on its own goroutine, out of recoverMiddleware's reach,
+// so a panic in exec becomes the flight's error instead of killing the
+// daemon, and the deferred release keeps the slot from leaking.
+func (s *Server) execute(ctx context.Context, tenant admission.Tenant, tier string, exec execFunc, progress func(completed, total int)) (wc sim.WorstCase, err error) {
+	if tier != "cluster" {
+		queueSpan := trace.StartLeaf(ctx, "queue")
+		release, aerr := s.adm.Acquire(ctx, tenant)
+		queueSpan.End()
+		if aerr != nil {
+			return sim.WorstCase{}, aerr
+		}
+		defer release()
+	}
+	if s.searchTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.searchTimeout)
+		defer cancel()
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("internal error: %v", v)
+		}
+	}()
+	start := time.Now()
+	wc, err = exec(ctx, progress)
+	s.mSearchSec.Observe(time.Since(start).Seconds(), tier)
+	return wc, err
 }
 
 // dispatch fans an already-compiled search out through the cluster:
@@ -1154,8 +1216,8 @@ func Distribute(ctx context.Context, d *cluster.Dispatcher, req Request, shards 
 // the coordinator's fingerprint and shard count must match the
 // locally derived ones — a mismatch is version skew and answers 409
 // rather than letting two disagreeing daemons merge different
-// searches. Shard results are cached in the store under their
-// ShardFingerprint.
+// searches. Past these checks a shard takes /search's path — store
+// lookup, single-flight, run — keyed by its ShardFingerprint.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, Response{Error: "POST only"})
@@ -1192,9 +1254,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// The shard-count agreement and range checks only need the cheap
 	// count derivation (ModelPlanShards builds no executor state and is
 	// pinned to agree with NewModelPlan); the heavy plan — meeting tables,
-	// trajectory caches — is built inside the engine pool below, so a
-	// burst of shard requests cannot allocate unboundedly before the
-	// pool gates it.
+	// trajectory caches — is built by shardExec on an engine slot.
 	num, err := adversary.ModelPlanShards(mdl, sreq.Shards)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, cluster.ShardResponse{Error: err.Error()})
@@ -1212,19 +1272,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	m := metaOf(r)
 	m.fingerprint = fp
 	root.SetAttr(trace.String("fingerprint", fp), trace.Int("shard", sreq.Shard), trace.Int("shards", sreq.Shards))
-	sfp := adversary.ShardFingerprint(fp, sreq.Shard, sreq.Shards)
-	if s.store != nil {
-		cacheSpan := trace.StartLeaf(r.Context(), "cache")
-		wc, ok := s.store.Get(sfp)
-		cacheSpan.SetAttr(trace.Bool("hit", ok))
-		cacheSpan.End()
-		if ok {
-			m.cached = true
-			writeJSON(w, http.StatusOK, cluster.ShardResponse{Fingerprint: fp, Shard: sreq.Shard, Shards: sreq.Shards, Cached: true, Result: &wc, Spans: root.Snapshot()})
-			return
-		}
-	}
-
 	// Shard execution — including plan construction — shares the engine
 	// pool with local searches, so a worker daemon bounds its compute
 	// the same way whichever role drives it, and a worker serving two
@@ -1232,41 +1279,52 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// authenticates like any client; its tenant keys the queue). Rate
 	// limits deliberately do NOT apply to /shard — a coordinator
 	// retrying shards must shed load by queueing, not by 429s that
-	// would turn one slow peer into a cluster-wide retry storm. The
-	// slot is released by defer: a panic below unwinds through
-	// recoverMiddleware, and a leaked slot would wedge the pool
-	// permanently.
-	queueSpan := trace.StartLeaf(r.Context(), "queue")
-	release, aerr := s.adm.Acquire(r.Context(), m.tenant)
-	queueSpan.End()
-	if aerr != nil {
-		var oe *admission.OverloadError
-		if errors.As(aerr, &oe) {
-			writeOverload(w, oe, cluster.ShardResponse{Fingerprint: fp, Shard: sreq.Shard, Shards: sreq.Shards, Error: oe.Error()})
+	// would turn one slow peer into a cluster-wide retry storm.
+	key := adversary.ShardFingerprint(fp, sreq.Shard, sreq.Shards)
+	wc, ok := s.lookup(r.Context(), key)
+	if ok {
+		m.cached = true
+	} else {
+		f, created := s.join(key)
+		defer s.leave(f)
+		m.shared = !created
+		if created {
+			go s.run(f, trace.ContextWith(f.ctx, root), m.tenant, "shard", s.shardExec(mdl, fp, sreq.Shard, sreq.Shards))
 		}
-		// Context cancelled: the coordinator is gone; nothing to write.
-		return
+		if !f.wait(w, r, false) {
+			return
+		}
+		wc, err = f.wc, f.err
 	}
-	defer release()
-	shardStart := time.Now()
-	defer func() { s.mSearchSec.Observe(time.Since(shardStart).Seconds(), "shard") }()
-	ctx := r.Context()
-	if s.searchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.searchTimeout)
-		defer cancel()
+	// The span tree rides back in the response (the daemon's own root is
+	// snapshotted in progress — it ends when the middleware returns), so
+	// the coordinator can adopt the worker's half of the trace.
+	resp := cluster.ShardResponse{Fingerprint: fp, Shard: sreq.Shard, Shards: sreq.Shards, Cached: ok, Spans: root.Snapshot()}
+	if err != nil {
+		resp.Error = err.Error()
+	} else {
+		resp.Result = &wc
 	}
-	wc, err := func() (sim.WorstCase, error) {
-		planKey := fmt.Sprintf("%s/%d", fp, sreq.Shards)
+	writeOutcome(w, err, resp)
+}
+
+// shardExec returns what a /shard flight runs: the search's shard plan,
+// from the plan cache or built under the flight's engine slot (so a
+// burst of shard requests cannot allocate plans before the pool gates
+// them), then Plan.RunShard, which traces the shard ("shard.exec")
+// under the request's root span.
+func (s *Server) shardExec(m model.Model, fp string, shard, shards int) execFunc {
+	return func(ctx context.Context, _ func(completed, total int)) (sim.WorstCase, error) {
+		planKey := fmt.Sprintf("%s/%d", fp, shards)
 		planSpan := trace.StartLeaf(ctx, "plan")
 		plan := s.planFor(planKey)
 		planSpan.SetAttr(trace.Bool("cached", plan != nil))
 		if plan == nil {
-			var perr error
-			plan, perr = adversary.NewModelPlan(mdl, sreq.Shards)
-			if perr != nil {
+			var err error
+			plan, err = adversary.NewModelPlan(m, shards)
+			if err != nil {
 				planSpan.End()
-				return sim.WorstCase{}, perr
+				return sim.WorstCase{}, err
 			}
 			s.storePlan(planKey, plan)
 		}
@@ -1276,85 +1334,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 				trace.Int("labelPairs", info.LabelPairs), trace.Int("startPairs", info.StartPairs))
 		}
 		planSpan.End()
-		// RunShard traces the shard ("shard.exec") under the request's
-		// root span.
-		return plan.RunShard(ctx, sreq.Shard)
-	}()
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, cluster.ShardResponse{Fingerprint: fp, Shard: sreq.Shard, Shards: sreq.Shards, Error: err.Error(), Spans: root.Snapshot()})
-		return
-	}
-	if s.store != nil {
-		storeSpan := trace.StartLeaf(r.Context(), "store")
-		_ = s.store.Put(sfp, wc) // best-effort
-		storeSpan.End()
-	}
-	// The span tree rides back in the response (the daemon's own root is
-	// snapshotted in-progress — it ends when the middleware returns), so
-	// the coordinator can adopt the worker's half of the trace.
-	writeJSON(w, http.StatusOK, cluster.ShardResponse{Fingerprint: fp, Shard: sreq.Shard, Shards: sreq.Shards, Result: &wc, Spans: root.Snapshot()})
-}
-
-// streamFinal writes a one-event NDJSON stream (used for cache hits).
-func (s *Server) streamFinal(w http.ResponseWriter, ev StreamEvent) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	json.NewEncoder(w).Encode(ev)
-}
-
-// streamFlight streams shard progress and the final result of a
-// flight as NDJSON. The final event carries the request's trace ID
-// and, when the request opted in, the phase-timing summary.
-func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight, created, timings bool) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	ch, completed, total := f.subscribe()
-	defer f.unsubscribe(ch)
-	if total > 0 {
-		enc.Encode(StreamEvent{Type: "progress", Completed: completed, Total: total})
-		flush()
-	}
-	root := trace.FromContext(r.Context())
-	final := func() {
-		var phases []trace.PhaseTiming
-		if timings && root != nil {
-			phases = trace.Summarize(root.Snapshot(), root.SpanID())
-		}
-		if f.err != nil {
-			enc.Encode(StreamEvent{Type: "error", Fingerprint: f.fp, Shared: !created, Error: f.err.Error(), TraceID: root.TraceID(), Timings: phases})
-		} else {
-			wc := f.wc
-			enc.Encode(StreamEvent{Type: "result", Fingerprint: f.fp, Shared: !created, Result: &wc, TraceID: root.TraceID(), Timings: phases})
-		}
-		flush()
-	}
-	for {
-		select {
-		case ev := <-ch:
-			enc.Encode(ev)
-			flush()
-		case <-f.done:
-			final()
-			return
-		case <-r.Context().Done():
-			// Same re-check as respondFlight: if the flight has already
-			// finished, the final line must still be written — with both
-			// channels ready the select picks at random, and a client
-			// whose context fired a moment after completion would
-			// otherwise sometimes get progress events but no result.
-			select {
-			case <-f.done:
-				final()
-			default:
-			}
-			return
-		}
+		return plan.RunShard(ctx, shard)
 	}
 }

@@ -400,6 +400,34 @@ func TestCancelMidSearch(t *testing.T) {
 	}
 }
 
+// TestEnginePanicAnswers500: a panic in the engine fails its flight
+// with a 500 naming the panic — the flight runs on its own goroutine,
+// out of the recovery middleware's reach — and releases its engine
+// slot, so the daemon serves the next request.
+func TestEnginePanicAnswers500(t *testing.T) {
+	srv, ts := newTestServer(t)
+	want := ringWant(t)
+	var calls atomic.Int32
+	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int)) (sim.WorstCase, error) {
+		if calls.Add(1) == 1 {
+			panic("engine exploded")
+		}
+		return want, nil
+	}
+
+	status, out := postSearch(t, ts.URL, ringRequest)
+	if status != http.StatusInternalServerError || !strings.Contains(out.Error, "engine exploded") {
+		t.Fatalf("panicking engine: status %d error %q, want a 500 naming the panic", status, out.Error)
+	}
+	if inUse := srv.Admission().Stats().InUse; inUse != 0 {
+		t.Errorf("%d engine slots still held after the panic, want 0", inUse)
+	}
+	status, out = postSearch(t, ts.URL, ringRequest)
+	if status != http.StatusOK || out.Result == nil || *out.Result != want {
+		t.Errorf("request after the panic: status %d result %+v error %q, want %+v", status, out.Result, out.Error, want)
+	}
+}
+
 // TestStreamProgress checks the NDJSON streaming mode: a cold search
 // emits at least one progress event and ends with a result event; a
 // repeat emits a single cached result event.
@@ -592,15 +620,27 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// respondTo answers a request the way handleSearch answers one that
+// joined flight f: wait for the flight, then write its outcome. A
+// streamed request's stream is started first, as handleSearch does.
+func respondTo(w *httptest.ResponseRecorder, r *http.Request, f *flight, stream bool) {
+	if stream {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+	}
+	if f.wait(w, r, stream) {
+		answer(w, r, &Request{Stream: stream}, Response{Fingerprint: f.key}, f.wc, f.err)
+	}
+}
+
 // TestDisconnectAfterFinishStillWrites pins the non-stream /search
 // disconnect fix: when the flight has already finished and the
 // client's context is cancelled, both select arms are ready and the
 // pick is random — the completed result must still be written every
 // time, not only when the select happens to favour f.done.
 func TestDisconnectAfterFinishStillWrites(t *testing.T) {
-	srv, _ := newTestServer(t)
 	want := sim.WorstCase{Runs: 5, AllMet: true}
-	f := &flight{fp: "test-fp", done: make(chan struct{}), subs: map[chan StreamEvent]struct{}{}}
+	f := &flight{key: "test-fp", done: make(chan struct{}), subs: map[chan StreamEvent]struct{}{}}
 	f.wc = want
 	f.finished = true
 	close(f.done)
@@ -610,7 +650,7 @@ func TestDisconnectAfterFinishStillWrites(t *testing.T) {
 		cancel() // the client is already gone
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader("{}")).WithContext(ctx)
-		srv.respondFlight(rec, req, f, true, false)
+		respondTo(rec, req, f, false)
 		if rec.Body.Len() == 0 {
 			t.Fatalf("iteration %d: empty body for a finished flight", i)
 		}
@@ -629,9 +669,8 @@ func TestDisconnectAfterFinishStillWrites(t *testing.T) {
 // its final NDJSON result line even when the client's context is
 // already cancelled when the stream loop's select runs.
 func TestStreamDisconnectAfterFinishStillWrites(t *testing.T) {
-	srv, _ := newTestServer(t)
 	want := sim.WorstCase{Runs: 9, AllMet: true}
-	f := &flight{fp: "test-fp", done: make(chan struct{}), subs: map[chan StreamEvent]struct{}{}}
+	f := &flight{key: "test-fp", done: make(chan struct{}), subs: map[chan StreamEvent]struct{}{}}
 	f.wc = want
 	f.finished = true
 	close(f.done)
@@ -641,7 +680,7 @@ func TestStreamDisconnectAfterFinishStillWrites(t *testing.T) {
 		cancel()
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader("{}")).WithContext(ctx)
-		srv.streamFlight(rec, req, f, true, false)
+		respondTo(rec, req, f, true)
 		var final *StreamEvent
 		dec := json.NewDecoder(rec.Body)
 		for dec.More() {
