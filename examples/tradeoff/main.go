@@ -77,7 +77,7 @@ func main() {
 		}
 		// The engine shards the sweep across GOMAXPROCS goroutines and,
 		// on the oriented ring with the sweep explorer, dispatches every
-		// execution to the O(|schedule|) segment-level executor.
+		// execution to the ring executor, O(runs) per execution.
 		wc, err := adversary.SearchModel(adversary.PaperModel{
 			Spec: adversary.Spec{
 				Graph:       g,

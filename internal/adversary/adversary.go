@@ -29,10 +29,11 @@
 //   - Tiered dispatch. Executions are routed to the fastest executor
 //     that covers the spec:
 //
-//     TierRing — the segment-level ring executor of internal/ringsim,
-//     O(|schedule|) per execution, when the graph is the canonical
-//     oriented ring and the explorer the clockwise sweep (the
-//     Section 3 setting).
+//     TierRing — the run-level ring executor of internal/ringsim, when
+//     the graph is the canonical oriented ring and the explorer the
+//     clockwise sweep (the Section 3 setting). Each shard lowers every
+//     label's schedule once into a ringsim.Timeline of constant-rate
+//     runs; an execution then costs O(runs) and allocates nothing.
 //
 //     TierBatch — the 64-lane batched meeting-table executor
 //     (meetoracle.MeetBatch), which advances up to 64 start-pair
@@ -123,8 +124,8 @@ const (
 	// TierTable forces the precomputed meeting-table executor
 	// (internal/meetoracle), ignoring the memory budget.
 	TierTable
-	// TierRing forces the segment-level ring executor
-	// (internal/ringsim); the spec must be ring-eligible.
+	// TierRing forces the ring executor (internal/ringsim); the spec
+	// must be ring-eligible.
 	TierRing
 	// TierBatch forces the 64-lane batched meeting-table executor
 	// (meetoracle.MeetBatch), ignoring the memory budget and the
@@ -272,7 +273,7 @@ type Spec struct {
 }
 
 // FastPathEligible reports whether executions of the spec can be routed
-// through the segment-level ring executor: the graph must be the
+// through the ring executor: the graph must be the
 // canonical oriented ring (node v's port 0 leads to v+1 mod n) and the
 // explorer the clockwise sweep, which is exactly the model ringsim
 // implements.
@@ -484,28 +485,30 @@ func batchShard(ctx context.Context, oracle *meetoracle.Oracle, compiled compile
 }
 
 // ringShard sweeps one contiguous slice of label pairs through the
-// segment-level executor, with a private schedule cache.
+// ring executor. Each label's schedule is lowered to its ringsim
+// Timeline once per shard, on the shard's own goroutine, so every
+// execution walks two compiled timelines and allocates nothing.
 func ringShard(ctx context.Context, n int, scheduleFor func(label int) sim.Schedule, labelPairs, startPairs [][2]int, delays []int) (sim.WorstCase, error) {
-	scheds := make(map[int]sim.Schedule)
-	get := func(l int) sim.Schedule {
-		s, ok := scheds[l]
+	timelines := make(map[int]ringsim.Timeline)
+	get := func(l int) ringsim.Timeline {
+		tl, ok := timelines[l]
 		if !ok {
-			s = scheduleFor(l)
-			scheds[l] = s
+			tl = ringsim.Compile(n, scheduleFor(l))
+			timelines[l] = tl
 		}
-		return s
+		return tl
 	}
 	wc := sim.WorstCase{AllMet: true}
 	for _, lp := range labelPairs {
 		if err := ctx.Err(); err != nil {
 			return sim.WorstCase{}, err
 		}
-		sa, sb := get(lp[0]), get(lp[1])
+		ta, tb := get(lp[0]), get(lp[1])
 		for _, sp := range startPairs {
 			for _, d := range delays {
-				res, err := ringsim.Run(n,
-					ringsim.Agent{Schedule: sa, Start: sp[0], Wake: 1},
-					ringsim.Agent{Schedule: sb, Start: sp[1], Wake: 1 + d})
+				res, err := ringsim.Meet(n,
+					ringsim.Placed{Timeline: ta, Start: sp[0], Wake: 1},
+					ringsim.Placed{Timeline: tb, Start: sp[1], Wake: 1 + d})
 				if err != nil {
 					return sim.WorstCase{}, fmt.Errorf("adversary: labels %v starts %v delay %d: %w", lp, sp, d, err)
 				}

@@ -13,6 +13,7 @@ import (
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
+	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
 	"rendezvous/internal/sim"
 )
@@ -580,6 +581,87 @@ func TestShardErrorChoice(t *testing.T) {
 				_, err := SearchModelCheckpointed(m, Options{Workers: workers}, CheckpointConfig{Shards: shards})
 				if err == nil || err.Error() != want {
 					t.Fatalf("round %d workers=%d shards=%d: err = %v, want %s", round, workers, shards, err, want)
+				}
+			}
+		}
+	}
+}
+
+// faultModel is a model whose sweep panics on label pair panicAt and
+// fails with an ordinary error on label pair failAt (-1 disables
+// either). Label pair i is (i, i+1).
+type faultModel struct{ pairs, panicAt, failAt int }
+
+func (m faultModel) Name() string        { return "fault" }
+func (m faultModel) Units() (int, error) { return m.pairs, nil }
+func (m faultModel) Fingerprint() (string, error) {
+	return fmt.Sprintf("fault/%d/%d/%d", m.pairs, m.panicAt, m.failAt), nil
+}
+
+func (m faultModel) Compile() (*model.Compiled, error) {
+	labelPairs := make([][2]int, m.pairs)
+	for i := range labelPairs {
+		labelPairs[i] = [2]int{i, i + 1}
+	}
+	return &model.Compiled{
+		Tier:       "generic",
+		LabelPairs: labelPairs,
+		StartPairs: [][2]int{{0, 1}},
+		Delays:     []int{0},
+		Sweep: func(ctx context.Context, shard [][2]int) (sim.WorstCase, error) {
+			wc := sim.WorstCase{AllMet: true}
+			for _, lp := range shard {
+				switch lp[0] {
+				case m.panicAt:
+					panic(fmt.Sprintf("sweep exploded at label pair %d", lp[0]))
+				case m.failAt:
+					return sim.WorstCase{}, fmt.Errorf("sweep failed at label pair %d", lp[0])
+				}
+				wc.Observe(lp[0], lp[1], 0, 1, 0, sim.Result{Met: true, Round: lp[0] + 1, CostA: 1})
+			}
+			return wc, nil
+		},
+	}, nil
+}
+
+// TestShardPanicIsError: a panic inside a shard's sweep fails the
+// search with that shard's error, naming the panic, on every worker
+// and shard count, instead of killing the process from a worker
+// goroutine; and a lower shard's ordinary error still wins, as the
+// serial scan's first error.
+func TestShardPanicIsError(t *testing.T) {
+	const pairs, panicAt = 16, 13
+	// panicShard is the shard of num holding label pair panicAt.
+	panicShard := func(num int) int {
+		for i := 0; i < num; i++ {
+			if _, hi := shardBounds(pairs, num, i); panicAt < hi {
+				return i
+			}
+		}
+		return -1
+	}
+	for round := 0; round < 20; round++ {
+		for _, workers := range []int{1, 2, 8} {
+			for _, shards := range []int{0, 1, 3, 16} {
+				num := shards
+				if num == 0 { // SearchModel's one shard per worker
+					num = workers
+				}
+				run := func(m model.Model) error {
+					if shards == 0 {
+						_, err := SearchModel(m, Options{Workers: workers})
+						return err
+					}
+					_, err := SearchModelCheckpointed(m, Options{Workers: workers}, CheckpointConfig{Shards: shards})
+					return err
+				}
+				want := fmt.Sprintf("adversary: shard %d: internal error: sweep exploded at label pair %d", panicShard(num), panicAt)
+				if err := run(faultModel{pairs: pairs, panicAt: panicAt, failAt: -1}); err == nil || err.Error() != want {
+					t.Fatalf("workers=%d shards=%d: err = %v, want %s", workers, shards, err, want)
+				}
+				want = "sweep failed at label pair 1"
+				if err := run(faultModel{pairs: pairs, panicAt: panicAt, failAt: 1}); err == nil || err.Error() != want {
+					t.Fatalf("workers=%d shards=%d with a lower ordinary failure: err = %v, want %s", workers, shards, err, want)
 				}
 			}
 		}

@@ -90,6 +90,12 @@ func (p *Plan) Info() PlanInfo {
 // the shard count, the tier and the shard's run count (0, plus the
 // "error", when the shard fails). An untraced shard builds no span
 // and no attribute.
+//
+// A panic inside the shard's executor becomes the shard's error
+// ("adversary: shard i: internal error: ..."), so it fails the search
+// like any other shard error — the driver still reports the lowest
+// failing shard's — instead of killing the process on whichever worker
+// goroutine ran the shard.
 func (p *Plan) RunShard(ctx context.Context, shard int) (sim.WorstCase, error) {
 	if shard < 0 || shard >= p.shards {
 		return sim.WorstCase{}, fmt.Errorf("adversary: shard %d out of range [0,%d)", shard, p.shards)
@@ -102,8 +108,7 @@ func (p *Plan) RunShard(ctx context.Context, shard int) (sim.WorstCase, error) {
 		span = trace.StartLeaf(ctx, "shard.exec", trace.Int("shard", shard),
 			trace.Int("shards", p.shards), trace.String("tier", p.tier.String()))
 	}
-	lo, hi := shardBounds(len(p.labelPairs), p.shards, shard)
-	wc, err := p.sweep(ctx, p.labelPairs[lo:hi])
+	wc, err := p.sweepShard(ctx, shard)
 	if span != nil {
 		runs := 0
 		if err == nil {
@@ -113,6 +118,18 @@ func (p *Plan) RunShard(ctx context.Context, shard int) (sim.WorstCase, error) {
 		endSpan(span, err)
 	}
 	return wc, err
+}
+
+// sweepShard runs the plan's executor on shard's label pairs,
+// recovering a panic into the shard's error.
+func (p *Plan) sweepShard(ctx context.Context, shard int) (wc sim.WorstCase, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			wc, err = sim.WorstCase{}, fmt.Errorf("adversary: shard %d: internal error: %v", shard, v)
+		}
+	}()
+	lo, hi := shardBounds(len(p.labelPairs), p.shards, shard)
+	return p.sweep(ctx, p.labelPairs[lo:hi])
 }
 
 // MergeShards folds per-shard results in shard order with the engine's

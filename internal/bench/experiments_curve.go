@@ -13,12 +13,13 @@ import (
 // that can be performed at this cost"), empirically: it charts the
 // (cost, time) frontier of the FastWithRelabeling(w) family for every
 // weight w from 1 (the Cheap end) to ⌈log L⌉ and beyond (the Fast end),
-// at L = 4096 — feasible only with the segment-level ring executor,
-// which runs in O(|schedule|) per execution instead of O(|schedule|·E).
+// at L = 4096 — feasible only with the ring executor, which runs in
+// O(runs) per execution (each label lowered once per shard) instead of
+// O(|schedule|·E).
 //
 // The sweeps go through the engine, whose automatic tier dispatch
 // routes every execution on the canonical oriented ring with the sweep
-// explorer to exactly that segment-level executor — so the experiment
+// explorer to exactly that ring executor — so the experiment
 // inherits the store and checkpointing like every other engine-backed
 // sweep.
 //

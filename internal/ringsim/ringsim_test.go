@@ -126,3 +126,25 @@ func TestNeverMeetingLockstep(t *testing.T) {
 		t.Errorf("costs = (%d,%d), want (18,18)", res.CostA, res.CostB)
 	}
 }
+
+// TestRingExecutorAllocatesNothing: an execution over compiled
+// timelines allocates nothing — the sweep's per-configuration cost —
+// on the E14 hot spot's shape (FastWithRelabeling(1) at L = 4096 on the
+// ring of 24: 8,193-segment schedules of a few runs each).
+func TestRingExecutorAllocatesNothing(t *testing.T) {
+	const n, L = 24, 4096
+	algo := core.NewFastWithRelabeling(1)
+	params := core.Params{L: L}
+	a := Placed{Timeline: Compile(n, algo.Schedule(L-1, params)), Start: 0, Wake: 1}
+	b := Placed{Timeline: Compile(n, algo.Schedule(L, params)), Start: 7, Wake: 1 + n}
+	var res Result
+	allocs := testing.AllocsPerRun(100, func() {
+		res, _ = Meet(n, a, b)
+	})
+	if allocs != 0 {
+		t.Errorf("Meet over compiled timelines allocated %v times per execution, want 0", allocs)
+	}
+	if !res.Met {
+		t.Errorf("labels %d and %d never met: %+v", L-1, L, res)
+	}
+}

@@ -428,6 +428,46 @@ func TestEnginePanicAnswers500(t *testing.T) {
 	}
 }
 
+// panicSweep is a model whose shard sweeps all panic.
+type panicSweep struct{ model.Model }
+
+func (m panicSweep) Compile() (*model.Compiled, error) {
+	c, err := m.Model.Compile()
+	if err != nil {
+		return nil, err
+	}
+	c.Sweep = func(context.Context, [][2]int) (sim.WorstCase, error) { panic("sweep exploded") }
+	return c, nil
+}
+
+// TestShardPanicAnswers500: a panic inside a shard sweep — which the
+// engine runs on its own worker goroutines, beyond the flight's
+// recover — fails the flight with a 500 naming the panic, releases the
+// engine slot, and leaves the daemon serving the next request.
+func TestShardPanicAnswers500(t *testing.T) {
+	srv, ts := newTestServer(t)
+	want := ringWant(t)
+	var calls atomic.Int32
+	srv.search = func(ctx context.Context, m model.Model, opts adversary.Options, progress func(int, int)) (sim.WorstCase, error) {
+		if calls.Add(1) == 1 {
+			m = panicSweep{m}
+		}
+		return engineSearch(ctx, m, opts, progress)
+	}
+
+	status, out := postSearch(t, ts.URL, ringRequest)
+	if status != http.StatusInternalServerError || !strings.Contains(out.Error, "sweep exploded") {
+		t.Fatalf("panicking sweep: status %d error %q, want a 500 naming the panic", status, out.Error)
+	}
+	if inUse := srv.Admission().Stats().InUse; inUse != 0 {
+		t.Errorf("%d engine slots still held after the panic, want 0", inUse)
+	}
+	status, out = postSearch(t, ts.URL, ringRequest)
+	if status != http.StatusOK || out.Result == nil || *out.Result != want {
+		t.Errorf("request after the panic: status %d result %+v error %q, want %+v", status, out.Result, out.Error, want)
+	}
+}
+
 // TestStreamProgress checks the NDJSON streaming mode: a cold search
 // emits at least one progress event and ends with a result event; a
 // repeat emits a single cached result event.

@@ -244,7 +244,7 @@ func Automorphisms(g *Graph) []GraphAutomorphism { return graph.Automorphisms(g)
 // Search runs the adversary serially over the space for the algorithm
 // given as a label → schedule function. On the canonical oriented ring
 // with the sweep explorer, executions are automatically routed through
-// the O(|schedule|) segment-level engine. Results are deterministic.
+// the ring engine, O(runs) per execution. Results are deterministic.
 func Search(g *Graph, ex Explorer, scheduleFor func(label int) Schedule, space SearchSpace) (WorstCase, error) {
 	return SearchWith(g, ex, scheduleFor, space, SearchOptions{})
 }
@@ -469,10 +469,12 @@ type (
 // RunDoubling executes the unknown-E wrapper for both agents.
 func RunDoubling(sc DoublingScenario) (Result, error) { return core.RunDoubling(sc) }
 
-// Segment-level exact ring execution (internal/ringsim): O(|schedule|)
-// per execution instead of O(|schedule|·E), bit-for-bit equal to Run
-// with the ring sweep. Use for large-L adversarial sweeps on oriented
-// rings.
+// Exact ring execution (internal/ringsim): each schedule is lowered into
+// its constant-rate runs, then the execution costs O(runs) instead of
+// O(|schedule|·E), bit-for-bit equal to Run with the ring sweep. The
+// engine's ring tier lowers each label once per shard, so its sweeps
+// pay O(runs) per execution; large-L adversarial sweeps on oriented
+// rings should go through Search.
 type (
 	// RingAgent is one agent in the segment-level ring model.
 	RingAgent = ringsim.Agent
@@ -481,7 +483,8 @@ type (
 )
 
 // RunOnRing executes two schedules on the oriented ring of size n with
-// the optimal sweep as EXPLORE (E = n-1), in O(|schedules|) time.
+// the optimal sweep as EXPLORE (E = n-1): O(|schedules|) to lower both,
+// then O(runs) to execute.
 func RunOnRing(n int, a, b RingAgent) (RingResult, error) { return ringsim.Run(n, a, b) }
 
 // Meeting-table execution (internal/meetoracle): the segment-level
