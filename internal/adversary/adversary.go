@@ -36,7 +36,7 @@
 //     runs; an execution then costs O(runs) and allocates nothing.
 //
 //     TierBatch — the 64-lane batched meeting-table executor
-//     (meetoracle.MeetBatch), which advances up to 64 start-pair
+//     (meetoracle.MeetBatchWorst), which advances up to 64 start-pair
 //     executions per segment scan with bitset meeting masks, when the
 //     start-pair × delay product is dense enough to fill the lanes and
 //     the batch tables fit the memory budget.
@@ -50,14 +50,13 @@
 //     shard worker.
 //
 //     TierGeneric — the O(|schedule|·E) trajectory executor of
-//     internal/sim, the reference semantics and the fallback for
-//     degenerate spaces (negative delays, out-of-range starts) the
-//     segment-level executors do not encode.
+//     internal/sim, the reference semantics.
 //
-//     All tiers are bit-for-bit equivalent (each fast executor's
-//     contract, enforced by differential fuzzing and exhaustive
-//     cross-engine tests), so dispatch never changes results, only
-//     speed.
+//     Every tier sees only spaces sim.SearchSpace.Expand accepts, so a
+//     forced tier runs on that tier or errors. All tiers are
+//     bit-for-bit equivalent (each fast executor's contract, enforced
+//     by differential fuzzing and exhaustive cross-engine tests), so
+//     dispatch never changes results, only speed.
 //
 //   - Symmetry reduction. Before tier dispatch, the start-pair space is
 //     quotiented by the graph's port-preserving automorphism group
@@ -108,10 +107,11 @@ import (
 // Tier identifies an execution tier of the engine. The zero value
 // TierAuto lets the engine pick the fastest eligible tier; the other
 // values force one, which equivalence tests and benchmarks use to pin
-// the executor down. Forcing a tier never changes results — only which
-// engine produces them — except that forcing an inapplicable tier
-// (TierRing off the canonical ring, TierTable with an explorer that
-// rejects the graph) is an error.
+// the executor down. A forced tier runs on that tier or errors: forcing
+// never changes results — only which engine produces them — except
+// that forcing an inapplicable tier (TierRing off the canonical ring,
+// TierTable or TierBatch with an explorer that rejects the graph) is an
+// error.
 type Tier int
 
 const (
@@ -128,7 +128,7 @@ const (
 	// must be ring-eligible.
 	TierRing
 	// TierBatch forces the 64-lane batched meeting-table executor
-	// (meetoracle.MeetBatch), ignoring the memory budget and the
+	// (meetoracle.MeetBatchWorst), ignoring the memory budget and the
 	// density heuristic TierAuto applies.
 	TierBatch
 )
@@ -184,19 +184,14 @@ type Symmetry int
 
 const (
 	// SymmetryAuto applies the reduction whenever the graph has a
-	// non-trivial port-preserving automorphism group and every start
-	// pair is in range; degenerate spaces (out-of-range starts, which
-	// have no orbit action) skip it and keep the generic tier's
-	// semantics.
+	// non-trivial port-preserving automorphism group.
 	SymmetryAuto Symmetry = iota
 	// SymmetryOff disables the reduction; every listed start pair
 	// executes. Equivalence tests and benchmarks use it as the
 	// unreduced reference.
 	SymmetryOff
-	// SymmetryForced always applies the reduction machinery (on a
-	// trivial group it degenerates to the identity quotient) and makes
-	// inapplicable spaces — out-of-range start pairs — an error instead
-	// of a silent skip.
+	// SymmetryForced always applies the reduction machinery, even on a
+	// trivial group, where the quotient is the identity.
 	SymmetryForced
 )
 
@@ -284,70 +279,32 @@ func (s Spec) FastPathEligible() bool {
 	return graph.IsCanonicalOrientedRing(s.Graph)
 }
 
-// reduceSpace is the symmetry-reduction step: it replaces the space's
-// start pairs with one representative per orbit of the graph's
-// port-preserving automorphism group, keeping the first listed member
-// of each orbit so the enumeration order of survivors — and therefore
-// every witness — is unchanged. It returns the space untouched when
-// the reduction cannot fire (SymmetryOff, a trivial group, or — under
-// SymmetryAuto — out-of-range start pairs, which have no orbit action
-// and whose semantics belong to the generic tier). Space-expansion
-// errors surface here, before tier dispatch, identically for every
-// Symmetry mode.
-func reduceSpace(spec Spec, space sim.SearchSpace, sym Symmetry) (sim.SearchSpace, error) {
+// reduceStarts is the symmetry-reduction step: it replaces the
+// expanded start pairs with one representative per orbit of the
+// graph's port-preserving automorphism group, keeping the first listed
+// member of each orbit so the enumeration order of survivors — and
+// therefore every witness — is unchanged. It returns the pairs
+// untouched when the reduction cannot fire (SymmetryOff, or a trivial
+// group under SymmetryAuto) and when no orbit collapses. The second
+// case keeps an explicit empty list empty rather than nil: the generic
+// tier hands the pairs to sim.Search, which reads nil as "every start
+// pair".
+func reduceStarts(g *graph.Graph, startPairs [][2]int, sym Symmetry) ([][2]int, error) {
 	if sym == SymmetryOff {
-		return space, nil // the winning tier expands (and validates) itself
+		return startPairs, nil
 	}
-	n := spec.Graph.N()
-	labelPairs, startPairs, delays, err := space.Expand(n)
-	if err != nil {
-		return sim.SearchSpace{}, err
-	}
-	for _, sp := range startPairs {
-		if sp[0] < 0 || sp[0] >= n || sp[1] < 0 || sp[1] >= n {
-			if sym == SymmetryForced {
-				return sim.SearchSpace{}, fmt.Errorf("adversary: SymmetryForced: start pair %v out of range [0,%d) has no orbit action", sp, n)
-			}
-			return space, nil
-		}
-	}
-	// From here on the expansion is returned in explicit form even when
-	// no orbit collapses, so the winning tier validates the (already
-	// valid) slices instead of rebuilding them.
-	expanded := sim.SearchSpace{LabelPairs: labelPairs, StartPairs: startPairs, Delays: delays}
-	auts := graph.Automorphisms(spec.Graph)
+	auts := graph.Automorphisms(g)
 	if len(auts) <= 1 && sym != SymmetryForced {
-		return expanded, nil
+		return startPairs, nil
 	}
 	orbs, err := orbits.Compute(auts, startPairs)
 	if err != nil {
-		return sim.SearchSpace{}, fmt.Errorf("adversary: symmetry reduction: %w", err)
+		return nil, fmt.Errorf("adversary: symmetry reduction: %w", err)
 	}
-	reps := orbs.Representatives()
-	if len(reps) == len(startPairs) {
-		return expanded, nil
+	if reps := orbs.Representatives(); len(reps) < len(startPairs) {
+		return reps, nil
 	}
-	return sim.SearchSpace{LabelPairs: labelPairs, StartPairs: reps, Delays: delays}, nil
-}
-
-// tableDegenerate reports whether the expanded space contains
-// configurations the meeting-table executor does not encode: negative
-// delays (the generic path reports them through Meet's clamping
-// semantics) and out-of-range starts (which the generic path has its
-// own behaviour for — a per-execution compile error). Equal starts
-// cannot reach the executors anymore: Expand rejects them up front.
-func tableDegenerate(n int, startPairs [][2]int, delays []int) bool {
-	for _, d := range delays {
-		if d < 0 {
-			return true
-		}
-	}
-	for _, sp := range startPairs {
-		if sp[0] < 0 || sp[0] >= n || sp[1] < 0 || sp[1] >= n {
-			return true
-		}
-	}
-	return false
+	return startPairs, nil
 }
 
 // compiledRows holds a search's precompiled schedules, one row per
@@ -386,10 +343,9 @@ func precompile(oracle *meetoracle.Oracle, scheduleFor func(label int) sim.Sched
 		row[start] = c
 		return nil
 	}
-	// Compile failures depend only on the label (starts are already
-	// validated in-range before dispatch reaches the table tiers), so
-	// probing each label pair at the first start pair reproduces the
-	// serial scan's first error.
+	// Compile failures depend only on the label (Expand has already
+	// validated every start), so probing each label pair at the first
+	// start pair reproduces the serial scan's first error.
 	sp0 := startPairs[0]
 	for _, lp := range labelPairs {
 		if err := add(lp[0], sp0[0]); err != nil {

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
 	"rendezvous/internal/meetoracle"
+	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
 	"rendezvous/internal/sim"
 )
@@ -125,55 +127,63 @@ func TestFastPathEligibility(t *testing.T) {
 	}
 }
 
-// TestNegativeDelayFallsBack: the segment-level executor has no
-// encoding for negative delays, so the engine must route them through
-// the generic executor rather than erroring.
-func TestNegativeDelayFallsBack(t *testing.T) {
-	const n, L = 10, 4
-	spec := specFor(graph.OrientedRing(n), explore.OrientedRingSweep{}, core.Cheap{}, L)
-	space := sim.SearchSpace{L: L, Delays: []int{-1, 0}}
-	got, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("negative-delay dispatch diverged: %+v vs %+v", got, want)
-	}
-}
-
-// TestEqualStartPairsRejectedEverywhere: the model places agents at
-// distinct nodes, so spaces listing equal start pairs must error out
-// of Expand identically through every tier, worker count and symmetry
-// mode — never reach an executor, never silently fall back.
+// TestEqualStartPairsRejectedEverywhere: sim.SearchSpace.Expand is
+// the one definition of a valid space. Spaces the model does not
+// define — equal starts, a start outside [0, n) on either side, a
+// negative delay — must fail with Expand's own error through every
+// entry point: SearchModel on every tier (forced ring, table and batch
+// included), worker count and symmetry mode, NewModelPlan,
+// ModelPlanShards and Fingerprint, for the paper model and the dynamic
+// model alike. None may reach an executor or fall back to another
+// tier.
 func TestEqualStartPairsRejectedEverywhere(t *testing.T) {
 	const n, L = 10, 4
-	spec := specFor(graph.OrientedRing(n), explore.OrientedRingSweep{}, core.Cheap{}, L)
-	space := sim.SearchSpace{
-		L:          L,
-		StartPairs: [][2]int{{3, 3}, {0, 5}},
-		Delays:     []int{0, 2},
-	}
+	g := graph.OrientedRing(n)
+	spec := specFor(g, explore.OrientedRingSweep{}, core.Cheap{}, L)
 	for _, tc := range []struct {
-		m       PaperModel
-		workers int
+		name  string
+		space sim.SearchSpace
 	}{
-		{PaperModel{}, 1},
-		{PaperModel{}, 4},
-		{PaperModel{Tier: TierGeneric}, 1},
-		{PaperModel{Tier: TierTable}, 1},
-		{PaperModel{Tier: TierBatch}, 1},
-		{PaperModel{Tier: TierRing}, 1},
-		{PaperModel{Symmetry: SymmetryOff}, 1},
-		{PaperModel{Symmetry: SymmetryForced}, 1},
+		{"equal-start", sim.SearchSpace{L: L, StartPairs: [][2]int{{3, 3}, {0, 5}}, Delays: []int{0, 2}}},
+		{"negative-delay", sim.SearchSpace{L: L, Delays: []int{0, -1}}},
+		{"start-at-n", sim.SearchSpace{L: L, StartPairs: [][2]int{{0, 5}, {2, n}}}},
+		{"negative-start", sim.SearchSpace{L: L, StartPairs: [][2]int{{-1, 2}}, Delays: []int{0, 1}}},
 	} {
-		tc.m.Spec, tc.m.Space = spec, space
-		if _, err := SearchModel(tc.m, Options{Workers: tc.workers}); err == nil {
-			t.Errorf("tier=%v sym=%v workers=%d: equal start pair accepted, want error", tc.m.Tier, tc.m.Symmetry, tc.workers)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, want := tc.space.Expand(n)
+			if want == nil {
+				t.Fatal("Expand accepted the space")
+			}
+			models := []model.Model{model.Dynamic{Graph: g, Explorer: spec.Explorer, ScheduleFor: spec.ScheduleFor,
+				Space: tc.space, Phases: []model.Phase{{Rounds: 1}}}}
+			for _, tier := range []Tier{TierAuto, TierGeneric, TierTable, TierBatch, TierRing} {
+				for _, sym := range []Symmetry{SymmetryAuto, SymmetryOff, SymmetryForced} {
+					models = append(models, PaperModel{Spec: spec, Space: tc.space, Tier: tier, Symmetry: sym})
+				}
+			}
+			for _, m := range models {
+				name := m.Name()
+				if pm, ok := m.(PaperModel); ok {
+					name = fmt.Sprintf("paper tier=%v sym=%v", pm.Tier, pm.Symmetry)
+				}
+				check := func(path string, err error) {
+					t.Helper()
+					if err == nil || !strings.Contains(err.Error(), want.Error()) {
+						t.Errorf("%s: %s: err = %v, want Expand's %q", name, path, err, want)
+					}
+				}
+				for _, workers := range []int{1, 4} {
+					_, err := SearchModel(m, Options{Workers: workers})
+					check(fmt.Sprintf("SearchModel workers=%d", workers), err)
+				}
+				_, err := NewModelPlan(m, 0)
+				check("NewModelPlan", err)
+				_, err = ModelPlanShards(m, 4)
+				check("ModelPlanShards", err)
+				_, err = m.Fingerprint()
+				check("Fingerprint", err)
+			}
+		})
 	}
 }
 
@@ -350,23 +360,6 @@ func TestForcedTierErrors(t *testing.T) {
 	}
 	if _, err := SearchModel(PaperModel{Spec: grid, Space: sim.SearchSpace{L: 4}, Tier: Tier(42)}, Options{}); err == nil {
 		t.Error("unknown tier: want error")
-	}
-}
-
-// TestTableDegenerate pins down which spaces the table tier refuses.
-func TestTableDegenerate(t *testing.T) {
-	ok := [][2]int{{0, 1}, {2, 2}}
-	if tableDegenerate(4, ok, []int{0, 7}) {
-		t.Error("in-range starts (equal allowed) and non-negative delays are not degenerate")
-	}
-	if !tableDegenerate(4, ok, []int{0, -1}) {
-		t.Error("negative delay must be degenerate")
-	}
-	if !tableDegenerate(4, [][2]int{{0, 4}}, []int{0}) {
-		t.Error("out-of-range start must be degenerate")
-	}
-	if !tableDegenerate(4, [][2]int{{-1, 2}}, []int{0}) {
-		t.Error("negative start must be degenerate")
 	}
 }
 

@@ -41,8 +41,8 @@ func planFor(t *testing.T, m PaperModel) *Plan {
 // TestBatchAutoSelection pins TierAuto's dispatch among the table
 // tiers: batch on dense start-pair × delay products within the batch
 // budget, scalar table when the product is sparse or only the smaller
-// scalar tables fit, ring when ring-eligible, generic on degenerate
-// spaces (even when batch is forced).
+// scalar tables fit, ring when ring-eligible — and that a forced tier
+// always runs on that tier.
 func TestBatchAutoSelection(t *testing.T) {
 	g := graph.Grid(4, 4)
 	e := explore.DFS{}.Duration(g)
@@ -70,9 +70,15 @@ func TestBatchAutoSelection(t *testing.T) {
 	if p := planFor(t, PaperModel{Spec: ring, Space: sim.SearchSpace{L: 8}}); p.tier != TierRing {
 		t.Errorf("ring-eligible sweep dispatched to %v, want ring", p.tier)
 	}
-	negative := sim.SearchSpace{L: 8, Delays: []int{-1, 0}}
-	if p := planFor(t, PaperModel{Spec: spec, Space: negative, Tier: TierBatch}); p.tier != TierGeneric {
-		t.Errorf("forced batch on a negative-delay space dispatched to %v, want generic fallback", p.tier)
+	for _, s := range []Spec{spec, ring} {
+		for _, tier := range tiersFor(s) {
+			if tier == TierAuto {
+				continue
+			}
+			if p := planFor(t, PaperModel{Spec: s, Space: sparse, Tier: tier}); p.tier != tier {
+				t.Errorf("%v: forced %v dispatched to %v", s.Graph, tier, p.tier)
+			}
+		}
 	}
 }
 

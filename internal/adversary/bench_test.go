@@ -181,8 +181,8 @@ func BenchmarkUnmarkedSweepTable(b *testing.B) {
 
 // The batch variant is the acceptance benchmark for the 64-lane batch
 // executor: the identical dense sweep (240 start pairs fill 3.75 lane
-// words per label pair) through MeetBatch instead of the scalar Meet
-// scan. The CI smoke (TestBatchSpeedupSmoke) asserts >= 3x over the
+// words per label pair) through MeetBatchWorst instead of the scalar
+// Meet scan. The CI smoke (TestBatchSpeedupSmoke) asserts >= 3x over the
 // scalar table tier on this sweep; the recorded numbers are in
 // DESIGN.md's engine section.
 func BenchmarkUnmarkedSweepBatch(b *testing.B) {

@@ -53,31 +53,30 @@ type CheckpointConfig struct {
 }
 
 // newSearchPlan is the engine's one tier-dispatch implementation (the
-// paper model's compiler): symmetry reduction, then ring/table/generic
-// tier selection with the degenerate-space fallbacks, returning the
-// per-shard executor instead of running it. The plan it returns has
-// no shard count yet; PaperModel.Compile lowers it onto the model
-// contract, and NewModelPlan fixes the decomposition.
+// paper model's compiler): space expansion, symmetry reduction, then
+// ring/batch/table/generic tier selection, returning the per-shard
+// executor instead of running it. A forced tier runs on that tier or
+// errors. The plan it returns has no shard count yet;
+// PaperModel.Compile lowers it onto the model contract, and
+// NewModelPlan fixes the decomposition.
 func newSearchPlan(m PaperModel) (*Plan, error) {
-	spec := m.Spec
-	reduced, err := reduceSpace(spec, m.Space, m.Symmetry)
-	if err != nil {
-		return nil, err
-	}
-	// Forced-tier errors take precedence over space expansion errors
-	// (under SymmetryOff; the reduction expands the space first).
+	// Forced-tier errors take precedence over space errors, in the
+	// order Fingerprint reports them.
 	if err := m.checkTier(); err != nil {
 		return nil, err
 	}
-	tier := m.Tier
+	spec := m.Spec
 	n := spec.Graph.N()
-	labelPairs, startPairs, delays, err := reduced.Expand(n)
+	labelPairs, startPairs, delays, err := m.Space.Expand(n)
 	if err != nil {
+		return nil, err
+	}
+	if startPairs, err = reduceStarts(spec.Graph, startPairs, m.Symmetry); err != nil {
 		return nil, err
 	}
 	plan := &Plan{labelPairs: labelPairs, startPairs: startPairs, delays: delays}
 
-	forced := tier != TierAuto
+	tier := m.Tier
 	if tier == TierAuto {
 		if spec.FastPathEligible() {
 			tier = TierRing
@@ -89,7 +88,7 @@ func newSearchPlan(m PaperModel) (*Plan, error) {
 			budget := m.tableBudget()
 			e := spec.Explorer.Duration(spec.Graph)
 			tier = TierGeneric
-			if budget >= 0 && n > 0 && e > 0 && !tableDegenerate(n, startPairs, delays) {
+			if budget >= 0 && n > 0 && e > 0 {
 				phases := len(meetoracle.Phases(e, delays))
 				switch {
 				case len(startPairs)*len(delays) >= batchAutoMinConfigs &&
@@ -103,23 +102,15 @@ func newSearchPlan(m PaperModel) (*Plan, error) {
 	}
 	switch tier {
 	case TierRing:
-		if tableDegenerate(n, startPairs, delays) {
-			tier = TierGeneric
-			break
-		}
 		plan.tier = TierRing
 		plan.sweep = func(ctx context.Context, shard [][2]int) (sim.WorstCase, error) {
 			return ringShard(ctx, n, spec.ScheduleFor, shard, startPairs, delays)
 		}
 		return plan, nil
 	case TierTable, TierBatch:
-		if tableDegenerate(n, startPairs, delays) {
-			tier = TierGeneric
-			break
-		}
 		oracle, oerr := meetoracle.New(spec.Graph, spec.Explorer)
 		if oerr != nil {
-			if !forced {
+			if m.Tier == TierAuto {
 				tier = TierGeneric
 				break
 			}
@@ -148,8 +139,11 @@ func newSearchPlan(m PaperModel) (*Plan, error) {
 		}
 		return plan, nil
 	}
-	// TierGeneric (explicit or by fallback): every shard sweep gets its
-	// own clone of the trajectory cache.
+	// TierGeneric, forced or chosen by TierAuto: every shard sweep gets
+	// its own clone of the trajectory cache. sim.Search expands the
+	// space again and reads a nil slice as its default, so the plan's
+	// slices must never be nil where the caller's list was empty
+	// (reduceStarts keeps that so).
 	plan.tier = TierGeneric
 	tc := sim.NewTrajectories(spec.Graph, spec.Explorer, spec.ScheduleFor)
 	plan.sweep = func(ctx context.Context, shard [][2]int) (sim.WorstCase, error) {

@@ -113,7 +113,7 @@ func FuzzDispatchEquivalence(f *testing.F) {
 // bit — worst case, witnesses, Runs, AllMet. The scalar tier is the
 // reference (itself pinned to the generic executor by
 // FuzzDispatchEquivalence), so a divergence here localises the bug to
-// MeetBatch or batchShard rather than the meeting tables. The subset
+// MeetBatchWorst or batchShard rather than the meeting tables. The subset
 // byte alternates exhaustive start sweeps (partial and full lane
 // blocks) with explicit sparse start-pair lists, which exercise
 // single-lane blocks and the canonical Observe reordering.

@@ -27,7 +27,7 @@ import (
 //
 // PaperModel is the only model with fast-tier accelerations: its
 // compiler runs the engine's tier dispatch (ring, batch, table,
-// generic with degenerate-space fallbacks).
+// generic) over the spaces sim.SearchSpace.Expand accepts.
 type PaperModel struct {
 	Spec  Spec
 	Space sim.SearchSpace
@@ -57,15 +57,10 @@ func (m PaperModel) Name() string { return "paper" }
 
 // Units implements model.Model: the expanded label-pair count — the
 // shard axis — derived without building executor state. Symmetry
-// reduction never touches label pairs, so the count is the same for
-// every symmetry mode, but the reduction still runs so Units fails
-// exactly when Compile would fail on the enumeration.
+// reduction never touches label pairs, so Units only expands the
+// space: it fails exactly when Compile would fail on the enumeration.
 func (m PaperModel) Units() (int, error) {
-	reduced, err := reduceSpace(m.Spec, m.Space, m.Symmetry)
-	if err != nil {
-		return 0, err
-	}
-	labelPairs, _, _, err := reduced.Expand(m.Spec.Graph.N())
+	labelPairs, _, _, err := m.Space.Expand(m.Spec.Graph.N())
 	if err != nil {
 		return 0, err
 	}

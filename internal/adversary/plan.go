@@ -36,12 +36,12 @@ type Plan struct {
 	labelPairs [][2]int
 	startPairs [][2]int
 	delays     []int
-	// tier is the executor the sweep dispatches to, after auto
-	// selection and degenerate-space fallbacks. oracle is the shared
-	// read-only meeting-table oracle of a table-tier plan that
-	// newSearchPlan built (nil otherwise, and nil on every plan
-	// NewModelPlan lowers through model.Compiled); tests use both to
-	// pin dispatch decisions and the prepared-before-fan-out contract.
+	// tier is the executor the sweep dispatches to: the forced tier,
+	// or TierAuto's choice. oracle is the shared read-only
+	// meeting-table oracle of a table-tier plan that newSearchPlan
+	// built (nil otherwise, and nil on every plan NewModelPlan lowers
+	// through model.Compiled); tests use both to pin dispatch decisions
+	// and the prepared-before-fan-out contract.
 	tier   Tier
 	oracle *meetoracle.Oracle
 	sweep  func(ctx context.Context, shard [][2]int) (sim.WorstCase, error)

@@ -121,47 +121,6 @@ func TestSymmetryReductionRuns(t *testing.T) {
 	}
 }
 
-// TestSymmetryDegenerateSpaces pins the modes' edge semantics:
-// SymmetryAuto silently skips spaces with out-of-range starts (their
-// behaviour belongs to the generic tier, which reports a compile
-// error), SymmetryForced rejects them loudly, and both modes pass
-// negative delays through the reduction unharmed (delays are untouched
-// by the orbit action).
-func TestSymmetryDegenerateSpaces(t *testing.T) {
-	const n, L = 10, 3
-	spec := specFor(graph.OrientedRing(n), explore.OrientedRingSweep{}, core.Cheap{}, L)
-	outOfRange := sim.SearchSpace{L: L, StartPairs: [][2]int{{0, n}}}
-	if _, err := SearchModel(PaperModel{Spec: spec, Space: outOfRange, Symmetry: SymmetryForced}, Options{}); err == nil {
-		t.Error("SymmetryForced with out-of-range starts: want error")
-	}
-	autoErr := func(sym Symmetry) string {
-		_, err := SearchModel(PaperModel{Spec: spec, Space: outOfRange, Symmetry: sym}, Options{})
-		if err == nil {
-			t.Fatalf("sym=%v: out-of-range start should fail in the generic executor", sym)
-		}
-		return err.Error()
-	}
-	if a, o := autoErr(SymmetryAuto), autoErr(SymmetryOff); a != o {
-		t.Errorf("auto vs off error diverged on out-of-range starts: %q vs %q", a, o)
-	}
-
-	negDelays := sim.SearchSpace{L: L, Delays: []int{-1, 0}}
-	off, err := SearchModel(PaperModel{Spec: spec, Space: negDelays, Symmetry: SymmetryOff}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := SearchModel(PaperModel{Spec: spec, Space: negDelays}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stripRuns(auto) != stripRuns(off) {
-		t.Errorf("negative-delay reduction diverged:\noff:  %+v\nauto: %+v", off, auto)
-	}
-	if auto.Runs*n != off.Runs {
-		t.Errorf("negative-delay Runs = %d, want %d/%d", auto.Runs, off.Runs, n)
-	}
-}
-
 // TestSymmetryForcedOnAsymmetricGraph: forcing the reduction on a
 // trivial-group graph is not an error — the quotient is the identity
 // and the search is bit-for-bit the unreduced one, Runs included.
@@ -244,6 +203,46 @@ func TestSymmetryExplicitSubsetReduction(t *testing.T) {
 	}
 	if autoO != offO {
 		t.Errorf("orbit-distinct offsets must be untouched:\noff:  %+v\nauto: %+v", offO, autoO)
+	}
+}
+
+// TestEmptyListsSweepNothing: an explicit empty list on any axis is an
+// empty space, not a request for that axis's default, on every tier,
+// symmetry mode and worker count — including the generic tier under a
+// reduction, which hands the reduced start pairs to sim.Search.
+func TestEmptyListsSweepNothing(t *testing.T) {
+	const L = 3
+	ring := specFor(graph.OrientedRing(10), explore.OrientedRingSweep{}, core.Cheap{}, L)
+	torus := specFor(graph.Torus(3, 3), explore.DFS{}, core.Cheap{}, L)
+	want := sim.WorstCase{AllMet: true}
+	for _, sc := range []struct {
+		name  string
+		space sim.SearchSpace
+	}{
+		{"starts", sim.SearchSpace{L: L, StartPairs: [][2]int{}, Delays: []int{0, 1}}},
+		{"labels", sim.SearchSpace{LabelPairs: [][2]int{}, Delays: []int{0, 1}}},
+		{"delays", sim.SearchSpace{L: L, Delays: []int{}}},
+	} {
+		for _, spec := range []Spec{ring, torus} {
+			for _, tier := range []Tier{TierAuto, TierGeneric, TierTable, TierBatch, TierRing} {
+				if tier == TierRing && !spec.FastPathEligible() {
+					continue
+				}
+				for _, sym := range []Symmetry{SymmetryAuto, SymmetryOff, SymmetryForced} {
+					for _, workers := range []int{1, 4} {
+						m := PaperModel{Spec: spec, Space: sc.space, Tier: tier, Symmetry: sym}
+						got, err := SearchModel(m, Options{Workers: workers})
+						if err != nil {
+							t.Fatalf("%s n=%d tier=%v sym=%v workers=%d: %v", sc.name, spec.Graph.N(), tier, sym, workers, err)
+						}
+						if got != want {
+							t.Errorf("%s n=%d tier=%v sym=%v workers=%d: got %+v, want %+v",
+								sc.name, spec.Graph.N(), tier, sym, workers, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -24,6 +24,10 @@ func E12AlternativeAccounting(opts Options) (*Table, error) {
 	}
 	g := graph.OrientedRing(n)
 	params := core.Params{L: L}
+	labelPairs, _, _, err := sim.SearchSpace{L: L}.Expand(n)
+	if err != nil {
+		return nil, err
+	}
 	allOK := true
 	for _, entry := range []struct {
 		algo  core.Algorithm
@@ -40,7 +44,7 @@ func E12AlternativeAccounting(opts Options) (*Table, error) {
 				return entry.algo.Schedule(l, params)
 			})
 			worstTime, worstLater, worstCost, worstCostLater := 0, 0, 0, 0
-			for _, lp := range scenario.AllLabelPairs(L) {
+			for _, lp := range labelPairs {
 				for d := 1; d < n; d++ {
 					trajA, err := tc.Get(lp[0], 0)
 					if err != nil {

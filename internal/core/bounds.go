@@ -89,13 +89,3 @@ func RelabelingCostClaimed(e, w int) int { return 2 * w * e }
 // have weight w+1), so the agent with S[j] = 1 spends at most
 // (1 + 2(w-1) + 2)E = (2w+1)E and the other at most (2w-1)E.
 func RelabelingCostSafe(e, w int) int { return (4*w + 2) * e }
-
-// ExplorationLowerBound is the benchmark from Section 1: the cost of any
-// rendezvous algorithm is at least E, and so is its time.
-func ExplorationLowerBound(e int) int { return e }
-
-// TimeLowerBoundRingOrder gives the order of the Ω(E·log L) time lower
-// bound for rings from [26], cited in Section 1.3: E·⌊log L⌋ up to a
-// constant. It anchors the "no algorithm is faster than Fast by more
-// than a constant" end of the tradeoff curve in the tables.
-func TimeLowerBoundRingOrder(e, L int) int { return e * floorLog2(L) }

@@ -13,7 +13,7 @@ import (
 // thousands of start pairs, and the segment-boundary timeline of an
 // execution — which agent is walking, at what wake-phase offset, until
 // which round — depends only on the two schedules and the delay, never
-// on the start nodes. MeetBatch therefore runs the interval state
+// on the start nodes. MeetBatchWorst therefore runs the interval state
 // machine once and advances up to 64 start-pair lanes through each
 // interval with an active-lane bitmask, one or two table loads per
 // live lane:
@@ -27,29 +27,30 @@ import (
 //
 // Lanes that meet clear their active bit and drop out of all later
 // intervals, so a batch call never scans past the point the scalar
-// execution would have stopped at. Results for meeting lanes are
-// assembled at the detection point, where the interval state already
-// pins the segment index and walk offset of both agents — so, unlike
-// the scalar result path, no field needs a division to re-derive them.
-// Every field is computed by the formula result() uses (and the
-// equality is pinned by differential fuzzing and the exhaustive
-// MeetBatch-vs-Meet sweep).
+// execution would have stopped at. A meeting lane's round and cost are
+// read at the detection point, where the interval state already pins
+// the segment index and walk offset of both agents — so, unlike the
+// scalar result path, neither needs a division to re-derive them. Both
+// follow the formulas result() uses (the equality is pinned by
+// differential fuzzing and the exhaustive MeetBatchWorst-vs-Meet
+// sweep).
 
 // BatchLanes is the lane width of the batch executor: one machine word
 // of start-pair lanes advanced per interval scan.
 const BatchLanes = 64
 
-// PrepareBatch builds everything MeetBatch needs for the given wake
-// delays: the meeting-table slabs of Prepare (with their any-masks)
-// plus the packed visit masks. After it returns, every MeetBatch call
-// is a lock-free read of immutable tables.
+// PrepareBatch builds everything MeetBatchWorst needs for the given
+// wake delays: the meeting-table slabs of Prepare (with their
+// any-masks) plus the packed visit masks. After it returns, every
+// MeetBatchWorst call is a lock-free read of immutable tables.
 func (o *Oracle) PrepareBatch(delays []int) {
 	o.Prepare(delays)
 	o.visitWords()
 }
 
-// BatchPrepared reports whether the oracle holds every table MeetBatch
-// needs for the given delays without further construction.
+// BatchPrepared reports whether the oracle holds every table
+// MeetBatchWorst needs for the given delays without further
+// construction.
 func (o *Oracle) BatchPrepared(delays []int) bool {
 	return o.Prepared(delays) && o.visit.Load() != nil
 }
@@ -107,154 +108,50 @@ func firstBitIn(words []uint64, lo, hi int) int {
 	}
 }
 
-// MeetBatch executes up to BatchLanes start-pair lanes of one sweep
-// configuration: out[i] receives exactly what Meet(as[i], bs[i], 1,
-// 1+delay, false) returns. All A lanes must compile the same schedule
-// and all B lanes the same schedule (one label pair), on this oracle;
+// MeetBatchWorst executes up to BatchLanes start-pair lanes of one
+// sweep configuration and reports, per lane, what WorstCase.Observe
+// consumes of Meet(as[i], bs[i], 1, 1+delay, false): rounds[i] is the
+// meeting round (0 when the lane never meets, matching Result.Round)
+// and costs[i] the combined edge traversals of both agents until the
+// meeting, Result.Cost() (unspecified for non-meeting lanes, which
+// update no witness). All A lanes must compile the same schedule and
+// all B lanes the same schedule (one label pair), on this oracle;
 // delay must be non-negative — the shape every engine sweep has. The
 // call allocates nothing; callers reuse their lane and result slices
-// across configurations.
-func (o *Oracle) MeetBatch(as, bs []Compiled, delay int, out []sim.Result) {
-	k := checkLanes(as, bs, delay)
-	if len(out) != k {
-		panic("meetoracle: MeetBatch lanes must be equal-length slices of 1..BatchLanes")
-	}
-	var rounds, costs [BatchLanes]int
-	var extra batchLanes
-	met := o.scanBatch(as, bs, delay, rounds[:k], costs[:k], &extra)
-
-	// costAt(as[i], delay) — A's cost at the later wake round, the one
-	// subtraction CostFromLaterWake needs — shares its branch structure
-	// across lanes: the schedule and delay are call constants, so the
-	// segment coordinates (one division) and the case pick happen once,
-	// leaving one or two array loads per meeting lane.
-	e := o.e
-	segsA := as[0].segs
-	dq, dr := 0, 0
-	if e > 0 {
-		dq, dr = delay/e, delay%e
-	}
-	wakeMode := 0 // costAt(a, delay) = 0
-	switch {
-	case delay == 0:
-	case delay >= len(segsA)*e:
-		wakeMode = 1 // a.moves[len]
-	case dr > 0 && segsA[dq] == sim.SegmentExplore:
-		wakeMode = 3 // a.moves[dq] + walk cost dr in
-	default:
-		wakeMode = 2 // a.moves[dq]
-	}
-	for i := 0; i < k; i++ {
-		if met>>uint(i)&1 == 0 {
-			out[i] = o.noMeet(as[i], bs[i])
-			continue
-		}
-		wake := 0
-		switch wakeMode {
-		case 1:
-			wake = as[i].moves[len(segsA)]
-		case 2:
-			wake = as[i].moves[dq]
-		case 3:
-			wake = as[i].moves[dq] + int(o.moves[as[i].starts[dq]][dr])
-		}
-		tm := rounds[i]
-		fromLater := tm - delay
-		if fromLater < 0 {
-			fromLater = 0
-		}
-		out[i] = sim.Result{
-			Met:               true,
-			Round:             tm,
-			Node:              extra.node[i],
-			CostA:             extra.costA[i],
-			CostB:             extra.costB[i],
-			TimeFromLaterWake: fromLater,
-			CostFromLaterWake: extra.costA[i] - wake + extra.costB[i],
-		}
-	}
-}
-
-// MeetBatchWorst is the sweep-aggregation form of MeetBatch: it runs
-// the same scan but reports, per lane, only what WorstCase.Observe
-// consumes — rounds[i] is the meeting round (0 when the lane never
-// meets, matching Result.Round) and costs[i] the combined edge
-// traversals of both agents until the meeting (unspecified for
-// non-meeting lanes, which update no witness). Skipping the Result
-// materialisation roughly halves the executor's memory traffic on
-// dense sweeps.
+// across configurations, and rounds and costs may hold stale values on
+// entry: every entry is (re)written.
 func (o *Oracle) MeetBatchWorst(as, bs []Compiled, delay int, rounds, costs []int) {
-	k := checkLanes(as, bs, delay)
-	if len(rounds) != k || len(costs) != k {
+	k := len(as)
+	if k == 0 || k > BatchLanes || len(bs) != k || len(rounds) != k || len(costs) != k {
 		panic("meetoracle: MeetBatchWorst lanes must be equal-length slices of 1..BatchLanes")
 	}
-	o.scanBatch(as, bs, delay, rounds, costs, nil)
-}
-
-// checkLanes validates the shared MeetBatch/MeetBatchWorst contract and
-// returns the lane count.
-func checkLanes(as, bs []Compiled, delay int) int {
-	k := len(as)
-	if k == 0 || k > BatchLanes || len(bs) != k {
-		panic("meetoracle: MeetBatch lanes must be equal-length slices of 1..BatchLanes")
-	}
 	if delay < 0 {
-		panic("meetoracle: MeetBatch requires a non-negative delay")
+		panic("meetoracle: MeetBatchWorst requires a non-negative delay")
 	}
-	return k
-}
-
-// batchLanes is the scan core's optional per-lane detail — the meeting
-// node and each agent's own cost — needed only when full Results are
-// assembled; the sweep-aggregation path passes nil and skips it.
-type batchLanes struct {
-	node  [BatchLanes]int
-	costA [BatchLanes]int
-	costB [BatchLanes]int
-}
-
-// scanBatch is the interval state machine shared by MeetBatch and
-// MeetBatchWorst: it advances all lanes to their first meeting (or the
-// horizon), writing the meeting round into rounds[i] (0 for lanes that
-// never meet) and the combined cost into costs[i], and — when extra is
-// non-nil — the detection-point detail from which every remaining
-// Result field is derivable without division. Returns the met-lane
-// mask. Callers have validated the lane slices; rounds and costs may
-// hold stale values on entry, every entry is (re)written.
-func (o *Oracle) scanBatch(as, bs []Compiled, delay int, rounds, costs []int, extra *batchLanes) uint64 {
-	k := len(as)
 	e, n := o.e, o.n
 	segsA, segsB := as[0].segs, bs[0].segs
 	endA := len(segsA) * e
 	endB := delay + len(segsB)*e
 	horizon := max(endA, endB)
 
-	fill := func(i, tm, node, costA, costB int) {
+	fill := func(i, tm, costA, costB int) {
 		rounds[i] = tm
 		costs[i] = costA + costB
-		if extra != nil {
-			extra.node[i] = node
-			extra.costA[i] = costA
-			extra.costB[i] = costB
-		}
 	}
 
-	// Lanes cleared from active met at their recorded round; the met
-	// mask is the complement within the k-lane window.
+	// Lanes cleared from active met at their recorded round.
 	active := ^uint64(0) >> uint(64-k)
-	all := active
 	if horizon == 0 {
 		// Both schedules empty, simultaneous start: the scalar scan
 		// checks exactly round 1, both agents resting at their starts.
 		for i := 0; i < k; i++ {
 			if as[i].starts[0] == bs[i].starts[0] {
-				active &^= 1 << uint(i)
-				fill(i, 1, int(as[i].starts[0]), 0, 0)
+				fill(i, 1, 0, 0)
 			} else {
 				rounds[i] = 0
 			}
 		}
-		return all &^ active
+		return
 	}
 	visit := o.visitWords()
 	vw := o.visitStride()
@@ -296,9 +193,9 @@ func (o *Oracle) scanBatch(as, bs []Compiled, delay int, rounds, costs []int, ex
 		case stillA && stillB:
 			for m := active; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
-				if u := as[i].starts[idxA]; u == bs[i].starts[idxB] {
+				if as[i].starts[idxA] == bs[i].starts[idxB] {
 					active &^= 1 << uint(i)
-					fill(i, t+1, int(u), as[i].moves[idxA], bs[i].moves[idxB])
+					fill(i, t+1, as[i].moves[idxA], bs[i].moves[idxB])
 				}
 			}
 		case stillB:
@@ -309,7 +206,7 @@ func (o *Oracle) scanBatch(as, bs []Compiled, delay int, rounds, costs []int, ex
 				p := (int(w)*n + int(u)) * vw
 				if j := firstBitIn(visit[p:p+vw], lo, hi); j != 0 {
 					active &^= 1 << uint(i)
-					fill(i, t+j-offA, int(u),
+					fill(i, t+j-offA,
 						as[i].moves[idxA]+int(o.moves[w][j]), bs[i].moves[idxB])
 				}
 			}
@@ -321,7 +218,7 @@ func (o *Oracle) scanBatch(as, bs []Compiled, delay int, rounds, costs []int, ex
 				p := (int(w)*n + int(u)) * vw
 				if j := firstBitIn(visit[p:p+vw], lo, hi); j != 0 {
 					active &^= 1 << uint(i)
-					fill(i, t+j-offB, int(u),
+					fill(i, t+j-offB,
 						as[i].moves[idxA], bs[i].moves[idxB]+int(o.moves[w][j]))
 				}
 			}
@@ -353,7 +250,7 @@ func (o *Oracle) scanBatch(as, bs []Compiled, delay int, rounds, costs []int, ex
 				}
 				if j != 0 {
 					active &^= 1 << uint(i)
-					fill(i, t+j, int(o.pos[wA][offA+j]),
+					fill(i, t+j,
 						as[i].moves[idxA]+int(o.moves[wA][offA+j]),
 						bs[i].moves[idxB]+int(o.moves[wB][offB+j]))
 				}
@@ -364,5 +261,4 @@ func (o *Oracle) scanBatch(as, bs []Compiled, delay int, rounds, costs []int, ex
 	for m := active; m != 0; m &= m - 1 {
 		rounds[bits.TrailingZeros64(m)] = 0
 	}
-	return all &^ active
 }

@@ -12,9 +12,10 @@ import (
 // TestMeetBatchMatchesMeet is the unit-level differential for the
 // 64-lane executor: over every schedule pair of length <= 3, every
 // ordered distinct start pair (batched into partial and full lane
-// blocks) and a delay sweep crossing E, MeetBatch must reproduce the
-// scalar Meet result bit for bit — including the empty-schedule
-// horizon-0 case and never-met outcomes.
+// blocks) and a delay sweep crossing E, MeetBatchWorst must reproduce
+// what the scalar Meet reports to a sweep — the meeting round (0 when
+// the agents never meet) and, when they meet, the combined cost —
+// including the empty-schedule horizon-0 case and never-met outcomes.
 func TestMeetBatchMatchesMeet(t *testing.T) {
 	cases := []struct {
 		name string
@@ -49,7 +50,8 @@ func TestMeetBatchMatchesMeet(t *testing.T) {
 			}
 			lanesA := make([]Compiled, 0, BatchLanes)
 			lanesB := make([]Compiled, 0, BatchLanes)
-			out := make([]sim.Result, BatchLanes)
+			rounds := make([]int, BatchLanes)
+			costs := make([]int, BatchLanes)
 			for _, sa := range all {
 				for _, sb := range all {
 					for base := 0; base < len(starts); base += BatchLanes {
@@ -71,13 +73,14 @@ func TestMeetBatchMatchesMeet(t *testing.T) {
 							lanesA = append(lanesA, ca)
 							lanesB = append(lanesB, cb)
 						}
+						k := len(block)
 						for _, d := range delays {
-							o.MeetBatch(lanesA, lanesB, d, out[:len(block)])
+							o.MeetBatchWorst(lanesA, lanesB, d, rounds[:k], costs[:k])
 							for i, sp := range block {
 								want := o.Meet(lanesA[i], lanesB[i], 1, 1+d, false)
-								if out[i] != want {
-									t.Fatalf("lane %d diverged (starts %v, delay %d):\nA: %v\nB: %v\nscalar: %+v\nbatch:  %+v",
-										i, sp, d, sa, sb, want, out[i])
+								if rounds[i] != want.Round || (want.Met && costs[i] != want.Cost()) {
+									t.Fatalf("lane %d diverged (starts %v, delay %d):\nA: %v\nB: %v\nscalar: %+v\nbatch:  round %d cost %d",
+										i, sp, d, sa, sb, want, rounds[i], costs[i])
 								}
 							}
 						}
@@ -92,7 +95,7 @@ func TestMeetBatchMatchesMeet(t *testing.T) {
 // engine's prepared-before-fan-out test relies on: a fresh oracle has
 // built nothing, PrepareBatch builds exactly one structure per phase
 // plus the visit masks, repeated preparation is idempotent, and
-// MeetBatch on prepared delays builds nothing further.
+// MeetBatchWorst on prepared delays builds nothing further.
 func TestPrepareBatchCountsBuilds(t *testing.T) {
 	g := graph.Grid(3, 3)
 	o, err := New(g, explore.DFS{})
@@ -130,9 +133,9 @@ func TestPrepareBatchCountsBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]sim.Result, 1)
+	rounds, costs := make([]int, 1), make([]int, 1)
 	for _, d := range delays {
-		o.MeetBatch([]Compiled{ca}, []Compiled{cb}, d, out)
+		o.MeetBatchWorst([]Compiled{ca}, []Compiled{cb}, d, rounds, costs)
 		o.Meet(ca, cb, 1, 1+d, false)
 	}
 	if got := o.TableBuilds(); got != builds {
@@ -140,9 +143,9 @@ func TestPrepareBatchCountsBuilds(t *testing.T) {
 	}
 }
 
-// TestMeetBatchMisuse pins the contract violations MeetBatch rejects by
-// panicking: empty and oversized batches, mismatched lane slices, and
-// negative delays (the engine routes those to the generic executor).
+// TestMeetBatchMisuse pins the contract violations MeetBatchWorst
+// rejects by panicking: empty and oversized batches, mismatched lane
+// slices, short outputs, and negative delays.
 func TestMeetBatchMisuse(t *testing.T) {
 	o, err := New(graph.OrientedRing(4), explore.DFS{})
 	if err != nil {
@@ -161,25 +164,29 @@ func TestMeetBatchMisuse(t *testing.T) {
 		}()
 		fn()
 	}
-	out := make([]sim.Result, BatchLanes+1)
+	rounds := make([]int, BatchLanes+1)
+	costs := make([]int, BatchLanes+1)
 	expectPanic("empty batch", func() {
-		o.MeetBatch(nil, nil, 0, nil)
+		o.MeetBatchWorst(nil, nil, 0, nil, nil)
 	})
 	expectPanic("oversized batch", func() {
 		as := make([]Compiled, BatchLanes+1)
 		for i := range as {
 			as[i] = c
 		}
-		o.MeetBatch(as, as, 0, out)
+		o.MeetBatchWorst(as, as, 0, rounds, costs)
 	})
 	expectPanic("mismatched lanes", func() {
-		o.MeetBatch([]Compiled{c, c}, []Compiled{c}, 0, out[:2])
+		o.MeetBatchWorst([]Compiled{c, c}, []Compiled{c}, 0, rounds[:2], costs[:2])
 	})
-	expectPanic("short output", func() {
-		o.MeetBatch([]Compiled{c, c}, []Compiled{c, c}, 0, out[:1])
+	expectPanic("short rounds", func() {
+		o.MeetBatchWorst([]Compiled{c, c}, []Compiled{c, c}, 0, rounds[:1], costs[:2])
+	})
+	expectPanic("short costs", func() {
+		o.MeetBatchWorst([]Compiled{c, c}, []Compiled{c, c}, 0, rounds[:2], costs[:1])
 	})
 	expectPanic("negative delay", func() {
-		o.MeetBatch([]Compiled{c}, []Compiled{c}, -1, out[:1])
+		o.MeetBatchWorst([]Compiled{c}, []Compiled{c}, -1, rounds[:1], costs[:1])
 	})
 }
 

@@ -35,8 +35,9 @@
 // Concurrency: an Oracle is safe for concurrent use. Prepare (or
 // PrepareBatch, for the 64-lane batch executor in batch.go) builds the
 // tables a delay set needs up front, after which every Meet and
-// MeetBatch is a lock-free read of immutable tables — this is how the
-// parallel search engine shares one oracle across all shard workers.
+// MeetBatchWorst is a lock-free read of immutable tables — this is how
+// the parallel search engine shares one oracle across all shard
+// workers.
 package meetoracle
 
 import (
@@ -184,10 +185,9 @@ func EstimateBatchBytes(n, e, phases, delays int) int64 {
 // Phases returns the distinct slab offsets a set of wake delays needs
 // under a duration-e exploration: for each delay d >= 0, the two
 // wake-phase offsets d mod e and e - (d mod e) at which the agents'
-// segment boundaries interleave. Negative delays are skipped (the
-// search engine routes them to the generic executor). It needs no
-// oracle, so a dispatcher can compute the exact slab count — always at
-// most e — before deciding whether the tables fit its budget.
+// segment boundaries interleave; a negative delay adds none. It needs
+// no oracle, so a dispatcher can compute the exact slab count — always
+// at most e — before deciding whether the tables fit its budget.
 func Phases(e int, delays []int) []int {
 	seen := make(map[int]bool)
 	var phases []int
@@ -241,8 +241,9 @@ func (o *Oracle) Prepared(delays []int) bool {
 
 // TableBuilds returns how many table structures (meeting slabs and the
 // batch visit masks) this oracle has constructed so far. A prepared
-// oracle's count is stable across any number of Meet/MeetBatch calls;
-// a growing count means tables are being built inside the hot loop.
+// oracle's count is stable across any number of Meet/MeetBatchWorst
+// calls; a growing count means tables are being built inside the hot
+// loop.
 func (o *Oracle) TableBuilds() int64 { return o.builds.Load() }
 
 // slabAt returns the offset-o meeting table, building and publishing it

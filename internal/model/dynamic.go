@@ -144,14 +144,10 @@ func hasEdge(g *graph.Graph, u, v int) bool {
 }
 
 // blocked reports whether the edge {u, v} is disabled in global round
-// t. Rounds before 1 (negative delays push wake rounds there) wrap
-// into the period like any other round.
+// t >= 1 (agents wake in round 1 + delay, and Expand admits no
+// negative delay).
 func (pp phasePlan) blocked(u, v, t int) bool {
-	off := (t - 1) % pp.period
-	if off < 0 {
-		off += pp.period
-	}
-	return pp.disabled[pp.phaseAt[off]][normEdge(u, v)]
+	return pp.disabled[pp.phaseAt[(t-1)%pp.period]][normEdge(u, v)]
 }
 
 // compileTrajectory is the dynamic analogue of sim.CompileTrajectory:
@@ -160,11 +156,10 @@ func (pp phasePlan) blocked(u, v, t int) bool {
 // the k-th round of the returned trajectory happens in global round
 // wake + k - 1. Steps that cannot traverse — disabled edge, or a port
 // that does not exist at the agent's actual node — are spent waiting.
+// start is a node of the graph: Compile passes only the start pairs
+// Expand accepted.
 func (m Dynamic) compileTrajectory(pp phasePlan, start int, sched sim.Schedule, wake int) (sim.Trajectory, error) {
 	g := m.Graph
-	if start < 0 || start >= g.N() {
-		return sim.Trajectory{}, fmt.Errorf("model: dynamic: start node %d out of range [0,%d)", start, g.N())
-	}
 	e := m.Explorer.Duration(g)
 	pos := make([]int, 1, len(sched)*e+1)
 	moves := make([]int, 1, len(sched)*e+1)

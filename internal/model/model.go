@@ -101,7 +101,10 @@ type Model interface {
 	Compile() (*Compiled, error)
 	// Fingerprint returns the canonical content address of the search
 	// this model denotes, salted with a model-specific domain. It
-	// fails only when the model cannot denote a cacheable computation
-	// (the same cases in which the search itself errors).
+	// fails on every space the search rejects, wrapping the error
+	// Expand gives the search. The one exception left is an explorer
+	// that rejects the graph: Fingerprint fails, yet a search whose
+	// schedules never explore still succeeds, so the store fronts run
+	// it unpersisted.
 	Fingerprint() (string, error)
 }

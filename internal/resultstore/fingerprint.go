@@ -233,11 +233,12 @@ func (e *Encoder) Search(g *graph.Graph, ex explore.Explorer, scheduleFor func(l
 }
 
 // Fingerprint returns the canonical content address of the key as a
-// 64-character hex string. It fails only when the key cannot denote a
-// cacheable computation at all: an invalid search space (Expand
-// rejects it) or an explorer that rejects the graph — exactly the
-// cases in which the search itself errors and there is no result to
-// store.
+// 64-character hex string. It fails on an invalid search space,
+// wrapping the error Expand gives the search itself, and on an
+// explorer that rejects the graph. That second case is the one where
+// Fingerprint and the search part ways: a search whose schedules never
+// explore still succeeds on the generic tier, and the store fronts run
+// it unpersisted.
 func Fingerprint(k Key) (string, error) {
 	if k.Graph == nil || k.Explorer == nil || k.ScheduleFor == nil {
 		return "", fmt.Errorf("resultstore: Fingerprint: Graph, Explorer and ScheduleFor are all required")

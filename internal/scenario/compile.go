@@ -16,21 +16,6 @@ import (
 // documents and the code that reads them share one definition of each
 // space.
 
-// AllLabelPairs returns all ordered pairs of distinct labels in {1..L},
-// in the engine's canonical order (the same order sim.SearchSpace
-// defaults to when LabelPairs is nil).
-func AllLabelPairs(L int) [][2]int {
-	pairs := make([][2]int, 0, L*(L-1))
-	for a := 1; a <= L; a++ {
-		for b := 1; b <= L; b++ {
-			if a != b {
-				pairs = append(pairs, [2]int{a, b})
-			}
-		}
-	}
-	return pairs
-}
-
 // SampledLabelPairs returns a seeded sample of distinct-label pairs,
 // always including the structurally adversarial ones: consecutive
 // labels, the top pair, the bottom pair, and pairs straddling powers of

@@ -45,13 +45,6 @@ func TestRingOffsets(t *testing.T) {
 	}
 }
 
-func TestAllLabelPairs(t *testing.T) {
-	pairs := scenario.AllLabelPairs(3)
-	if len(pairs) != 6 {
-		t.Fatalf("AllLabelPairs(3) = %v", pairs)
-	}
-}
-
 func TestDelaysFor(t *testing.T) {
 	d := scenario.DelaysFor(10)
 	want := []int{0, 1, 5, 10, 11, 20}

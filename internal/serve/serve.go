@@ -906,8 +906,9 @@ func compileSearch(sc scenario.Search) (model.Model, error) {
 // shared by /search and /shard, so a cap or validation change can
 // never apply to one path and silently miss the other. A non-nil
 // error is always a client error (400): an unfingerprintable search
-// is one the engine itself would reject (invalid space, explorer
-// rejecting the graph).
+// has an invalid space, which the engine itself rejects, or an
+// explorer that rejects the graph, which the daemon refuses rather
+// than run unpersisted.
 func (s *Server) compileAndFingerprint(sc scenario.Search) (model.Model, string, error) {
 	m, err := compileSearch(sc)
 	if err != nil {

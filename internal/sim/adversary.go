@@ -101,21 +101,25 @@ type SearchSpace struct {
 	// L is the label-space size used when LabelPairs is nil.
 	L int
 	// StartPairs lists ordered (startA, startB) pairs. The model places
-	// the agents at distinct nodes, so pairs with equal entries are
-	// rejected by Expand. Defaults to all ordered pairs of distinct
-	// nodes.
+	// the agents at distinct nodes of the graph, so Expand rejects pairs
+	// with equal entries or entries outside [0, n). Defaults to all
+	// ordered pairs of distinct nodes.
 	StartPairs [][2]int
 	// Delays lists wake delays for agent B (0 = simultaneous start).
-	// Defaults to {0}.
+	// The adversary delays the later agent by a non-negative number of
+	// rounds, so Expand rejects negative delays. Defaults to {0}.
 	Delays []int
 }
 
 // Expand materialises the space's enumeration over a graph of n nodes,
-// applying the documented defaults and validating explicit pairs
+// applying the documented defaults and validating explicit choices
 // against the model the way the defaults always were: labels must be
-// distinct and >= 1, starts must be distinct. The returned slices
-// define the canonical configuration order (labelPairs × startPairs ×
-// delays) that both the serial and the sharded parallel search follow.
+// distinct and >= 1, starts must be distinct nodes in [0, n), delays
+// must be >= 0. It is the one definition of a valid space: every
+// model, execution tier and fingerprint sees only spaces it accepts.
+// The returned slices define the canonical configuration order
+// (labelPairs × startPairs × delays) that both the serial and the
+// sharded parallel search follow.
 func (space SearchSpace) Expand(n int) (labelPairs, startPairs [][2]int, delays []int, err error) {
 	labelPairs = space.LabelPairs
 	if labelPairs == nil {
@@ -158,11 +162,19 @@ func (space SearchSpace) Expand(n int) (labelPairs, startPairs [][2]int, delays 
 			if sp[0] == sp[1] {
 				return nil, nil, nil, fmt.Errorf("sim: Search: StartPairs[%d] = %v: the model requires distinct start nodes", i, sp)
 			}
+			if sp[0] < 0 || sp[0] >= n || sp[1] < 0 || sp[1] >= n {
+				return nil, nil, nil, fmt.Errorf("sim: Search: StartPairs[%d] = %v: start nodes must be in [0,%d)", i, sp, n)
+			}
 		}
 	}
 	delays = space.Delays
 	if delays == nil {
 		delays = []int{0}
+	}
+	for i, d := range delays {
+		if d < 0 {
+			return nil, nil, nil, fmt.Errorf("sim: Search: Delays[%d] = %d: delays must be >= 0", i, d)
+		}
 	}
 	return labelPairs, startPairs, delays, nil
 }

@@ -10,11 +10,11 @@ import (
 
 // TestSearchSpaceExpandErrors is the table-driven error-path coverage
 // for SearchSpace.Expand: invalid label spaces, graphs too small to
-// form the default start-pair enumeration, and explicit pairs that
-// violate the model (equal labels, labels below 1, equal starts) must
-// fail up front, instead of silently producing a sweep the model does
-// not define (the defaults were always validated; explicit pairs now
-// are too).
+// form the default start-pair enumeration, and explicit choices that
+// violate the model (equal labels, labels below 1, equal starts,
+// starts outside [0, n), negative delays) must fail up front, instead
+// of silently producing a sweep the model does not define (the
+// defaults were always validated; explicit choices now are too).
 func TestSearchSpaceExpandErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -35,7 +35,10 @@ func TestSearchSpaceExpandErrors(t *testing.T) {
 		{"equal starts rejected", SearchSpace{L: 2, StartPairs: [][2]int{{0, 0}}}, 1, true},
 		{"equal starts rejected among valid", SearchSpace{L: 2, StartPairs: [][2]int{{0, 1}, {3, 3}}}, 4, true},
 		{"explicit distinct starts ok", SearchSpace{L: 2, StartPairs: [][2]int{{0, 1}}}, 4, false},
-		{"out-of-range starts left to executors", SearchSpace{L: 2, StartPairs: [][2]int{{0, 9}}}, 4, false},
+		{"start at n rejected", SearchSpace{L: 2, StartPairs: [][2]int{{0, 1}, {0, 4}}}, 4, true},
+		{"negative start rejected", SearchSpace{L: 2, StartPairs: [][2]int{{-1, 2}}}, 4, true},
+		{"negative delay rejected", SearchSpace{L: 2, Delays: []int{0, -1}}, 4, true},
+		{"explicit delays ok", SearchSpace{L: 2, Delays: []int{0, 3}}, 4, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -64,14 +64,8 @@ func String(key, value string) Attr { return Attr{Key: key, Value: value} }
 // Int returns an integer attribute.
 func Int(key string, value int) Attr { return Attr{Key: key, Value: int64(value)} }
 
-// Int64 returns a 64-bit integer attribute.
-func Int64(key string, value int64) Attr { return Attr{Key: key, Value: value} }
-
 // Bool returns a boolean attribute.
 func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
-
-// Float64 returns a floating-point attribute.
-func Float64(key string, value float64) Attr { return Attr{Key: key, Value: value} }
 
 // Attrs is a span's attributes in application order; the latest value
 // for a key wins. It JSON-encodes as an object with the keys sorted

@@ -146,7 +146,10 @@ func Meet(a, b Trajectory, wakeA, wakeB int, parachuted bool) Result {
 // rendezvous time and cost with their witnessing configurations.
 type (
 	// SearchSpace selects the adversary's choices; zero fields default
-	// to exhaustive enumeration (see sim.SearchSpace).
+	// to exhaustive enumeration (see sim.SearchSpace). Explicit choices
+	// must be ones the model defines — distinct labels >= 1, distinct
+	// start nodes in [0, n), delays >= 0; every search rejects the
+	// others with SearchSpace.Expand's error.
 	SearchSpace = sim.SearchSpace
 	// Witness is the configuration realising an extreme value.
 	Witness = sim.Witness
@@ -189,8 +192,8 @@ const (
 	// SymmetryOff runs every listed start pair — the unreduced
 	// reference for equivalence tests and benchmarks.
 	SymmetryOff = adversary.SymmetryOff
-	// SymmetryForced always applies the reduction machinery and makes
-	// inapplicable spaces an error.
+	// SymmetryForced always applies the reduction machinery, even on
+	// a graph whose only automorphism is the identity.
 	SymmetryForced = adversary.SymmetryForced
 )
 
@@ -206,8 +209,8 @@ type SearchOptions struct {
 	// Context cancels a long-running search between executions; the
 	// search then returns ctx.Err(). Nil means context.Background().
 	Context context.Context
-	// Tier forces an execution tier; TierAuto (the zero value) picks
-	// the fastest eligible one.
+	// Tier forces an execution tier, which then runs the search or
+	// errors; TierAuto (the zero value) picks the fastest eligible one.
 	Tier SearchTier
 	// TableBudget caps, in bytes, the memory TierAuto may spend on
 	// meeting tables before falling back to the generic executor: 0
