@@ -33,7 +33,9 @@
 //     the graph is the canonical oriented ring and the explorer the
 //     clockwise sweep (the Section 3 setting). Each shard lowers every
 //     label's schedule once into a ringsim.Timeline of constant-rate
-//     runs; an execution then costs O(runs) and allocates nothing.
+//     runs; each label pair and delay is then one ringsim.Walk that
+//     resolves every start pair at once, O(runs + start pairs), and
+//     allocates nothing.
 //
 //     TierBatch — the 64-lane batched meeting-table executor
 //     (meetoracle.MeetBatchWorst), which advances up to 64 start-pair
@@ -442,9 +444,15 @@ func batchShard(ctx context.Context, oracle *meetoracle.Oracle, compiled compile
 
 // ringShard sweeps one contiguous slice of label pairs through the
 // ring executor. Each label's schedule is lowered to its ringsim
-// Timeline once per shard, on the shard's own goroutine, so every
-// execution walks two compiled timelines and allocates nothing.
+// Timeline once per shard, on the shard's own goroutine, and the start
+// pairs are prepared once per shard. Each label pair and delay is then
+// one ringsim.Walk over every start pair, into a buffer of one result
+// per start pair allocated once per shard.
 func ringShard(ctx context.Context, n int, scheduleFor func(label int) sim.Schedule, labelPairs, startPairs [][2]int, delays []int) (sim.WorstCase, error) {
+	starts, err := ringsim.NewStarts(n, startPairs)
+	if err != nil {
+		return sim.WorstCase{}, fmt.Errorf("adversary: %w", err)
+	}
 	timelines := make(map[int]ringsim.Timeline)
 	get := func(l int) ringsim.Timeline {
 		tl, ok := timelines[l]
@@ -454,28 +462,45 @@ func ringShard(ctx context.Context, n int, scheduleFor func(label int) sim.Sched
 		}
 		return tl
 	}
+	out := make([]ringsim.Result, len(startPairs))
 	wc := sim.WorstCase{AllMet: true}
 	for _, lp := range labelPairs {
 		if err := ctx.Err(); err != nil {
 			return sim.WorstCase{}, err
 		}
 		ta, tb := get(lp[0]), get(lp[1])
-		for _, sp := range startPairs {
-			for _, d := range delays {
-				res, err := ringsim.Meet(n,
-					ringsim.Placed{Timeline: ta, Start: sp[0], Wake: 1},
-					ringsim.Placed{Timeline: tb, Start: sp[1], Wake: 1 + d})
-				if err != nil {
-					return sim.WorstCase{}, fmt.Errorf("adversary: labels %v starts %v delay %d: %w", lp, sp, d, err)
+		// The walks visit the label pair's configurations delay by
+		// delay, but its witnesses must be the canonical scan's: the
+		// first configuration in (start pair, delay) order to reach the
+		// maximum. So a tie takes over a witness only from a
+		// configuration later in that order (at is the canonical
+		// index), and the label pair folds into wc by Merge's in-order
+		// rule. Observing in canonical order instead would buffer every
+		// delay's walk: start pairs × delays results per shard.
+		pair := sim.WorstCase{Runs: len(startPairs) * len(delays), AllMet: true}
+		timeAt, costAt := 0, 0
+		witness := func(i, d, value int) sim.Witness {
+			return sim.Witness{LabelA: lp[0], LabelB: lp[1], StartA: startPairs[i][0], StartB: startPairs[i][1], DelayB: d, Value: value}
+		}
+		for di, d := range delays {
+			if err := ringsim.Walk(ta, tb, 1, 1+d, starts, out); err != nil {
+				return sim.WorstCase{}, fmt.Errorf("adversary: labels %v delay %d: %w", lp, d, err)
+			}
+			for i, res := range out {
+				if !res.Met {
+					pair.AllMet = false
+					continue
 				}
-				wc.Observe(lp[0], lp[1], sp[0], sp[1], d, sim.Result{
-					Met:   res.Met,
-					Round: res.Round,
-					CostA: res.CostA,
-					CostB: res.CostB,
-				})
+				at := i*len(delays) + di
+				if res.Round > pair.Time.Value || res.Round == pair.Time.Value && at < timeAt {
+					pair.Time, timeAt = witness(i, d, res.Round), at
+				}
+				if c := res.Cost(); c > pair.Cost.Value || c == pair.Cost.Value && at < costAt {
+					pair.Cost, costAt = witness(i, d, c), at
+				}
 			}
 		}
+		wc.Merge(pair)
 	}
 	return wc, nil
 }

@@ -83,29 +83,77 @@ func TestParallelEquivalence(t *testing.T) {
 // TestFastPathMatchesGeneric checks the dispatch guarantee: on the
 // canonical oriented ring with the sweep explorer, the segment-level
 // fast path returns bit-for-bit the same WorstCase as the generic
-// trajectory executor, for several algorithms and worker counts.
+// trajectory executor, for several algorithms and worker counts. The
+// ring tier walks a label pair delay by delay, so the second space
+// lists its delays out of order and has a worst time that two
+// configurations reach in crossed order — (0, 2) at delay 1 and (0, 4)
+// at delay 3 under FastWithRelabeling(2) — where the canonical scan's
+// witness is the earlier start pair at the later-listed delay.
 func TestFastPathMatchesGeneric(t *testing.T) {
-	const n, L = 14, 6
-	g := graph.OrientedRing(n)
-	space := sim.SearchSpace{L: L, Delays: []int{0, 1, n - 1, 2 * (n - 1)}}
-	for _, algo := range []core.Algorithm{core.Cheap{}, core.CheapSimultaneous{}, core.Fast{}, core.NewFastWithRelabeling(2)} {
-		spec := specFor(g, explore.OrientedRingSweep{}, algo, L)
-		if !spec.FastPathEligible() {
-			t.Fatalf("%s: spec unexpectedly ineligible for the fast path", algo.Name())
-		}
-		generic, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 4} {
-			fast, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{Workers: workers})
+	for _, tc := range []struct {
+		n, L   int
+		delays []int
+	}{
+		{14, 6, []int{0, 1, 13, 26}},
+		{5, 4, []int{3, 1}},
+	} {
+		g := graph.OrientedRing(tc.n)
+		space := sim.SearchSpace{L: tc.L, Delays: tc.delays}
+		for _, algo := range []core.Algorithm{core.Cheap{}, core.CheapSimultaneous{}, core.Fast{}, core.NewFastWithRelabeling(2)} {
+			spec := specFor(g, explore.OrientedRingSweep{}, algo, tc.L)
+			if !spec.FastPathEligible() {
+				t.Fatalf("%s: spec unexpectedly ineligible for the fast path", algo.Name())
+			}
+			generic, err := SearchModel(PaperModel{Spec: spec, Space: space, Tier: TierGeneric}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fast != generic {
-				t.Errorf("%s workers=%d: fast path diverged\ngeneric: %+v\nfast:    %+v", algo.Name(), workers, generic, fast)
+			for _, workers := range []int{0, 4} {
+				fast, err := SearchModel(PaperModel{Spec: spec, Space: space}, Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fast != generic {
+					t.Errorf("n=%d %s workers=%d: fast path diverged\ngeneric: %+v\nfast:    %+v", tc.n, algo.Name(), workers, generic, fast)
+				}
 			}
 		}
+	}
+}
+
+// TestRingShardMemory: a ring shard holds one walk's results, one per
+// start pair, however many delays it sweeps. On the unreduced space of
+// the ring of 32 (992 start pairs), a shard over 400 delays must not
+// allocate more than twice what a shard over one delay does.
+func TestRingShardMemory(t *testing.T) {
+	g := graph.OrientedRing(32)
+	alloc := func(delays int) uint64 {
+		ds := make([]int, delays)
+		for i := range ds {
+			ds[i] = i
+		}
+		m := PaperModel{
+			Spec:     specFor(g, explore.OrientedRingSweep{}, core.Fast{}, 2),
+			Space:    sim.SearchSpace{LabelPairs: [][2]int{{1, 2}}, Delays: ds},
+			Tier:     TierRing,
+			Symmetry: SymmetryOff,
+		}
+		plan, err := NewModelPlan(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := plan.RunShard(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one, many := alloc(1), alloc(400)
+	if many > 2*one {
+		t.Errorf("a ring shard allocated %d bytes over 400 delays and %d over one, want at most twice", many, one)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,6 +80,45 @@ func TestBatchAutoSelection(t *testing.T) {
 				t.Errorf("%v: forced %v dispatched to %v", s.Graph, tier, p.tier)
 			}
 		}
+	}
+}
+
+// TestBatchArenaEstimate holds meetoracle.EstimateBatchBytes's lane
+// arena term — the part that grows with the delay count — to what a
+// batch shard really allocates: measured around RunShard at 1,000
+// delays, where the arena dwarfs everything else a shard allocates, the
+// term must be within 1.5x of the measured bytes either way.
+func TestBatchArenaEstimate(t *testing.T) {
+	g := graph.Grid(3, 3)
+	e := explore.DFS{}.Duration(g)
+	delays := make([]int, 1000)
+	for i := range delays {
+		delays[i] = i
+	}
+	m := PaperModel{
+		Spec:  specFor(g, explore.DFS{}, core.Fast{}, 4),
+		Space: sim.SearchSpace{LabelPairs: [][2]int{{1, 2}}, StartPairs: [][2]int{{0, 8}, {2, 6}}, Delays: delays},
+		Tier:  TierBatch,
+	}
+	plan, err := NewModelPlan(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := plan.RunShard(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	measured := float64(after.TotalAlloc - before.TotalAlloc)
+	phases := len(meetoracle.Phases(e, delays))
+	arena := float64(meetoracle.EstimateBatchBytes(g.N(), e, phases, len(delays)) - meetoracle.EstimateBatchBytes(g.N(), e, phases, 0))
+	ratio := arena / measured
+	t.Logf("batch shard at %d delays: allocated %.0f bytes, arena term %.0f (ratio %.2f)", len(delays), measured, arena, ratio)
+	if ratio < 1/1.5 || ratio > 1.5 {
+		t.Errorf("EstimateBatchBytes's arena term is %.2fx a batch shard's allocation at %d delays (%.0f vs %.0f bytes), want within 1.5x",
+			ratio, len(delays), arena, measured)
 	}
 }
 

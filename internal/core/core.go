@@ -129,16 +129,21 @@ func (Fast) Schedule(l int, params Params) sim.Schedule {
 	return scheduleFromLabelBits(label.Transform(l))
 }
 
-// scheduleFromLabelBits builds T[1..2m+1] = (1, S1, S1, ..., Sm, Sm) and
-// maps it to segments (1 → explore, 0 → wait). This is the common layer
-// of Fast and FastWithRelabeling.
+// scheduleFromLabelBits builds T[1..2m+1] = (1, S1, S1, ..., Sm, Sm)
+// mapped to segments (1 → explore, 0 → wait), written straight into
+// the schedule: one allocation. This is the common layer of Fast and
+// FastWithRelabeling.
 func scheduleFromLabelBits(s []byte) sim.Schedule {
-	t := make([]byte, 0, 2*len(s)+1)
-	t = append(t, 1)
+	sched := make(sim.Schedule, 0, 2*len(s)+1)
+	sched = append(sched, sim.SegmentExplore)
 	for _, b := range s {
-		t = append(t, b, b)
+		seg := sim.SegmentWait
+		if b != 0 {
+			seg = sim.SegmentExplore
+		}
+		sched = append(sched, seg, seg)
 	}
-	return sim.FromBits(t)
+	return sched
 }
 
 // FastWithRelabeling is the separation algorithm of Section 2: each

@@ -2,6 +2,7 @@ package label
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -26,14 +27,26 @@ func FuzzTransformPrefixFree(f *testing.F) {
 }
 
 // FuzzRankUnrank fuzzes the combinadic bijection underlying
-// FastWithRelabeling's relabeling.
+// FastWithRelabeling's relabeling, on strings of up to 4,096 positions
+// (E14's t at w = 1), so zero runs are long enough for UnrankSubset's
+// bisection to matter. Ranks must be exact, so a weight whose C(t, w)
+// saturates int64 is folded to w <= 6 (C(4096, 6) fits). UnrankSubset
+// must also equal the linear reference scan.
 func FuzzRankUnrank(f *testing.F) {
 	f.Add(5, 2, 3)
 	f.Add(10, 4, 100)
+	f.Add(4095, 0, 0)
+	f.Add(4095, 0, 4095)
+	f.Add(4095, 5, 1<<40)
+	f.Add(4095, 4091, 77)
 	f.Fuzz(func(t *testing.T, tRaw, wRaw, kRaw int) {
-		tt := abs(tRaw)%14 + 1
+		tt := abs(tRaw)%4096 + 1
 		w := abs(wRaw)%tt + 1
 		total := Binomial(tt, w)
+		if total == math.MaxInt64 {
+			w = abs(wRaw)%min(tt, 6) + 1
+			total = Binomial(tt, w)
+		}
 		k := int(int64(abs(kRaw))%total) + 1
 		s, err := UnrankSubset(k, tt, w)
 		if err != nil {
@@ -41,6 +54,9 @@ func FuzzRankUnrank(f *testing.F) {
 		}
 		if Weight(s) != w || len(s) != tt {
 			t.Fatalf("UnrankSubset(%d,%d,%d) = %v: wrong shape", k, tt, w, s)
+		}
+		if want, _ := unrankSubsetLinear(k, tt, w); !bytes.Equal(s, want) {
+			t.Fatalf("UnrankSubset(%d,%d,%d) differs from the linear scan", k, tt, w)
 		}
 		back, err := RankSubset(s)
 		if err != nil {

@@ -101,16 +101,24 @@ func Binomial(n, k int) int64 {
 
 // SmallestT returns the smallest positive integer t such that
 // C(t, w) >= L, as required by FastWithRelabeling. Both w and L must be
-// positive.
+// positive. C(t, w) grows with t from C(w-1, w) = 0, and C(t, w) >= t
+// once t > w, so t lies in [w, max(w+1, L)]: SmallestT bisects that
+// range, O(log L) binomials of O(w) steps each (L <= C(t, w) <= t^w,
+// so O(w log t)), where a scan up from w costs O(t).
 func SmallestT(L, w int) int {
 	if L <= 0 || w <= 0 {
 		panic(fmt.Sprintf("label: SmallestT(%d,%d): need positive arguments", L, w))
 	}
-	for t := w; ; t++ {
-		if Binomial(t, w) >= int64(L) {
-			return t
+	lo, hi := w-1, max(w+1, L) // C(lo, w) < L <= C(hi, w)
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if Binomial(mid, w) >= int64(L) {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
+	return hi
 }
 
 // UnrankSubset returns the characteristic t-bit string of the
@@ -118,6 +126,12 @@ func SmallestT(L, w int) int {
 // {1..C(t,w)}. Lexicographic order is on the characteristic strings: a
 // subset avoiding early elements is smaller (its string starts with 0s),
 // so rank 1 is {t-w+1, ..., t} and rank C(t,w) is {1, ..., w}.
+//
+// With need elements left to place and rank r among the subsets of the
+// positions from i on, position i stays 0 while r <= C(t-i-1, need),
+// the number of subsets that leave it out. That count falls as i grows,
+// so UnrankSubset bisects for each 1-bit instead of stepping over the
+// 0-bits before it: O(w log t) binomials.
 func UnrankSubset(k, t, w int) ([]byte, error) {
 	total := Binomial(t, w)
 	if k < 1 || int64(k) > total {
@@ -125,23 +139,25 @@ func UnrankSubset(k, t, w int) ([]byte, error) {
 	}
 	out := make([]byte, t)
 	remaining := int64(k)
-	need := w
-	for i := 0; i < t; i++ {
-		if need == 0 {
-			break
+	from := 0 // the first position not yet decided
+	for need := w; need > 0; need-- {
+		// The next 1-bit is at the first position i >= from with
+		// C(t-i-1, need) < remaining: find the largest m = t-i-1 with
+		// C(m, need) < remaining. C(need-1, need) = 0 qualifies, so a
+		// bit is always placed with room for the need-1 after it.
+		lo, hi := need-1, t-from // C(lo, need) < remaining; hi is past the range
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if Binomial(mid, need) < remaining {
+				lo = mid
+			} else {
+				hi = mid
+			}
 		}
-		// Subsets whose string has 0 at position i: choose all `need`
-		// elements from the t-i-1 later positions.
-		zeroCount := Binomial(t-i-1, need)
-		if remaining <= zeroCount {
-			continue // bit stays 0
-		}
-		remaining -= zeroCount
+		i := t - 1 - lo
 		out[i] = 1
-		need--
-	}
-	if need != 0 {
-		return nil, fmt.Errorf("label: UnrankSubset(%d,%d,%d): internal error, %d elements unplaced", k, t, w, need)
+		remaining -= Binomial(lo, need)
+		from = i + 1
 	}
 	return out, nil
 }

@@ -173,12 +173,13 @@ func EstimateBytes(n, e, phases int) int64 {
 
 // EstimateBatchBytes predicts the resident size of an oracle prepared
 // for the batch executor: EstimateBytes plus the packed visit masks
-// and one worker's lane/result arena for a sweep over the given number
-// of delays. TierAuto compares it against the memory budget before
-// selecting the batch tier.
+// and one worker's lane arena for a sweep over the given number of
+// delays — per lane, an outcome (a round and a cost, two ints) per
+// delay and the two gathered Compiled rows. TierAuto compares it
+// against the memory budget before selecting the batch tier.
 func EstimateBatchBytes(n, e, phases, delays int) int64 {
 	visit := int64(n) * int64(n) * int64(visitStride(e)) * 8
-	arena := int64(BatchLanes) * (int64(delays)*56 + 2*72) // result buffer + compiled-lane gather slices
+	arena := int64(BatchLanes) * (int64(delays)*16 + 2*72) // outcome buffers + compiled-lane gather arrays
 	return EstimateBytes(n, e, phases) + visit + arena
 }
 

@@ -9,17 +9,29 @@
 // within any interval where both rates are constant, and the first
 // crossing of zero can be computed in O(1) per interval. Compile lowers
 // a schedule once into its Timeline — the maximal constant-rate runs
-// with the explore rounds done before each — and Meet walks two
-// timelines with one cursor each, so an execution costs O(runs A +
-// runs B), independent of E and of how long the agents wait, and
-// allocates nothing. The paper's algorithms are cheap because agents
-// wait: a FastWithRelabeling(1) schedule at L = 4096 is 8,193 segments but
-// at most 4 runs. That makes exhaustive adversarial sweeps feasible at
-// label-space sizes far beyond what the general simulator can touch
-// (the experiment on the paper's open problem, E14, uses it at
-// L = 4096). Sweeps run through the adversary engine, whose ring tier
-// (adversary.TierRing) lowers each label once per shard and calls Meet
-// once per configuration; Run is Compile plus Meet for one execution.
+// with the explore rounds done before each. The paper's algorithms are
+// cheap because agents wait: a FastWithRelabeling(1) schedule at
+// L = 4096 is 8,193 segments but at most 4 runs.
+//
+// The rates depend only on the two timelines and the wake rounds, never
+// on where the agents start: the start pair only sets the initial gap,
+// its offset (startB - startA) mod n. So Walk executes two timelines
+// from a whole list of start pairs at once, in one walk with one cursor
+// per timeline. The offsets that have not met keep their order, so each
+// interval settles the ones it closes from one end of that order: a
+// walk costs O(runs A + runs B + start pairs), independent of E and of
+// how long the agents wait, and it divides nowhere and allocates
+// nothing. An interval in which exactly one agent moves for n-1 rounds
+// or more closes every offset still open. Meet is the walk of one start
+// pair, and Run is Compile plus Meet. Starts must be distinct nodes in
+// [0, n), checked the way sim.Run checks them, never reduced mod n.
+//
+// This makes exhaustive adversarial sweeps feasible at label-space
+// sizes far beyond what the general simulator can touch (the
+// experiment on the paper's open problem, E14, uses it at L = 4096).
+// Sweeps run through the adversary engine, whose ring tier
+// (adversary.TierRing) lowers each label once per shard and walks each
+// label pair once per delay.
 //
 // Results are bit-for-bit equal to sim.Run with
 // explore.OrientedRingSweep; the test suite checks the equivalence
@@ -28,6 +40,8 @@ package ringsim
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 
 	"rendezvous/internal/sim"
 )
@@ -36,7 +50,7 @@ import (
 type Agent struct {
 	// Schedule is the agent's sequence of E-round explore/wait segments.
 	Schedule sim.Schedule
-	// Start is the agent's starting node on the ring 0..n-1.
+	// Start is the agent's starting node on the ring, in [0, n).
 	Start int
 	// Wake is the 1-based round in which the agent wakes.
 	Wake int
@@ -58,8 +72,9 @@ func (r Result) Time() int { return r.Round }
 
 // Errors mirroring the general simulator's validations.
 var (
-	ErrSameStart = errors.New("ringsim: agents must start at distinct nodes")
-	ErrBadWake   = errors.New("ringsim: earlier agent must wake in round 1")
+	ErrSameStart     = errors.New("ringsim: agents must start at distinct nodes")
+	ErrStartOutRange = errors.New("ringsim: start node out of range")
+	ErrBadWake       = errors.New("ringsim: earlier agent must wake in round 1")
 )
 
 // Timeline is a schedule lowered for one ring size: its maximal
@@ -136,7 +151,7 @@ type Placed struct {
 // Run computes the first meeting of the two agents on the oriented ring
 // of size n (E = n-1), exactly as sim.Run would with the ring sweep. It
 // is Compile for both schedules plus Meet; sweeps that execute one
-// schedule many times compile it once and call Meet.
+// schedule many times compile it once and call Walk.
 func Run(n int, a, b Agent) (Result, error) {
 	if err := check(n, a.Start, b.Start, a.Wake, b.Wake); err != nil {
 		return Result{}, err
@@ -146,60 +161,170 @@ func Run(n int, a, b Agent) (Result, error) {
 		Placed{Timeline: Compile(n, b.Schedule), Start: b.Start, Wake: b.Wake})
 }
 
-// check is the general simulator's validation of a configuration.
+// check is the general simulator's validation of a configuration, in
+// its order: distinct starts, then starts in range, then the wakes.
 func check(n, startA, startB, wakeA, wakeB int) error {
-	if ((startA-startB)%n+n)%n == 0 {
+	if err := checkStarts(n, startA, startB); err != nil {
+		return err
+	}
+	return checkWakes(wakeA, wakeB)
+}
+
+func checkStarts(n, startA, startB int) error {
+	if startA == startB {
 		return ErrSameStart
 	}
+	if startA < 0 || startA >= n || startB < 0 || startB >= n {
+		return ErrStartOutRange
+	}
+	return nil
+}
+
+func checkWakes(wakeA, wakeB int) error {
 	if min(wakeA, wakeB) != 1 {
 		return ErrBadWake
 	}
 	return nil
 }
 
-// Meet is the ring executor: the first meeting of two agents whose
-// schedules were compiled for the ring of size n, exactly as sim.Run
-// would find it with the ring sweep. It walks both timelines once, so
-// it costs O(runs A + runs B) and allocates nothing. The agents are
-// watched until the later of their schedules ends (wake-1 plus the
-// schedule's rounds); agents that have not met by then never do, and
-// each is charged its whole schedule's explore rounds.
+// offset is the start pair's gap (startB - startA) mod n, for starts
+// check accepted.
+func offset(n, startA, startB int) int {
+	d := startB - startA
+	if d < 0 {
+		d += n
+	}
+	return d
+}
+
+// Meet is the ring executor for one start pair: the first meeting of
+// two agents whose schedules were compiled for the ring of size n,
+// exactly as sim.Run would find it with the ring sweep. It is Walk's
+// one-offset case: O(runs A + runs B), and it allocates nothing. The
+// agents are watched until the later of their schedules ends (wake-1
+// plus the schedule's rounds); agents that have not met by then never
+// do, and each is charged its whole schedule's explore rounds. Starts
+// must be distinct nodes in [0, n) (ErrSameStart, ErrStartOutRange),
+// and the earlier agent must wake in round 1 (ErrBadWake).
 func Meet(n int, a, b Placed) (Result, error) {
 	if err := check(n, a.Start, b.Start, a.Wake, b.Wake); err != nil {
 		return Result{}, err
 	}
-	ca := cursor{Timeline: a.Timeline, asleep: a.Wake - 1}
-	cb := cursor{Timeline: b.Timeline, asleep: b.Wake - 1}
-	horizon := max(ca.asleep+ca.rounds, cb.asleep+cb.rounds)
+	var out [1]Result
+	walk(n, a.Timeline, b.Timeline, a.Wake, b.Wake, []int{offset(n, a.Start, b.Start)}, []int{0}, out[:])
+	return out[0], nil
+}
 
-	// gap = (posB - posA) mod n at the end of each round; the agents
-	// meet when it reaches 0. The rates change only at run boundaries,
-	// so the scan jumps from one boundary of either timeline to the
-	// next.
-	gap := ((b.Start-a.Start)%n + n) % n
-	for t := 0; t < horizon; {
+// Starts is a list of start pairs prepared for Walk, for one ring size.
+// An execution depends on its start pair only through the pair's
+// offset, so Walk resolves each distinct offset once and copies the
+// result to every pair that shares it. A Starts is read-only once
+// prepared and may serve any number of concurrent walks.
+type Starts struct {
+	n     int
+	gaps  []int // the distinct offsets, ascending
+	first []int // first[j]: the first listed pair whose offset is gaps[j]
+	of    []int // of[i]: the index in gaps of pair i's offset
+}
+
+// NewStarts validates the start pairs for the ring of size n as sim.Run
+// does — distinct nodes in [0, n), else ErrSameStart or
+// ErrStartOutRange, wrapped with the first failing pair — and prepares
+// them for Walk. The list may hold duplicates and be in any order.
+func NewStarts(n int, pairs [][2]int) (Starts, error) {
+	offsets := make([]int, len(pairs))
+	for i, p := range pairs {
+		if err := checkStarts(n, p[0], p[1]); err != nil {
+			return Starts{}, fmt.Errorf("ringsim: start pair %d (%d, %d): %w", i, p[0], p[1], err)
+		}
+		offsets[i] = offset(n, p[0], p[1])
+	}
+	gaps := slices.Compact(slices.Sorted(slices.Values(offsets)))
+	// of takes over offsets' storage, each entry read before it is
+	// overwritten; scanning backwards leaves the first pair of each
+	// offset in first.
+	s := Starts{n: n, gaps: gaps, first: make([]int, len(gaps)), of: offsets}
+	for i := len(offsets) - 1; i >= 0; i-- {
+		j, _ := slices.BinarySearch(gaps, offsets[i])
+		s.of[i], s.first[j] = j, i
+	}
+	return s, nil
+}
+
+// Walk executes agent A's timeline, waking in round wakeA, against agent
+// B's, waking in round wakeB, from every start pair of starts at once,
+// and writes the result of the i-th listed pair to out[i], exactly as
+// Meet would for that pair alone. It walks the two timelines once:
+// O(runs A + runs B + start pairs), no division and no allocation.
+// The earlier agent must wake in round 1 (ErrBadWake); out must hold a
+// result per listed pair, and the timelines must be compiled for the
+// ring starts was prepared for.
+func Walk(a, b Timeline, wakeA, wakeB int, starts Starts, out []Result) error {
+	if err := checkWakes(wakeA, wakeB); err != nil {
+		return err
+	}
+	if len(out) < len(starts.of) {
+		panic(fmt.Sprintf("ringsim: Walk: %d results for %d start pairs", len(out), len(starts.of)))
+	}
+	walk(starts.n, a, b, wakeA, wakeB, starts.gaps, starts.first, out)
+	if len(starts.gaps) < len(starts.of) {
+		for i, j := range starts.of {
+			if k := starts.first[j]; k != i {
+				out[i] = out[k]
+			}
+		}
+	}
+	return nil
+}
+
+// walk is the ring executor: it executes the two timelines from every
+// offset of gaps — distinct, ascending, in [1, n) — and writes the
+// result for gaps[j] to out[dst[j]].
+//
+// An offset's gap is (posB - posA) mod n at the end of each round; the
+// agents meet when it reaches 0. The rates change only at run
+// boundaries, so the scan jumps from one boundary of either timeline to
+// the next, and within an interval every open gap moves by the same
+// delta each round. An open offset's gap is therefore its offset plus
+// one shared shift, and it stays inside (0, n) — a gap that would leave
+// that range meets instead — so no gap is ever reduced mod n, and the
+// open offsets gaps[lo:hi] keep their order: growing gaps reach n from
+// the top of the order first, shrinking ones reach 0 from the bottom.
+func walk(n int, a, b Timeline, wakeA, wakeB int, gaps, dst []int, out []Result) {
+	ca := cursor{Timeline: a, asleep: wakeA - 1}
+	cb := cursor{Timeline: b, asleep: wakeB - 1}
+	horizon := max(ca.asleep+ca.rounds, cb.asleep+cb.rounds)
+	lo, hi, shift := 0, len(gaps), 0
+	for t := 0; lo < hi && t < horizon; {
 		rA, untilA := ca.next(t, horizon)
 		rB, untilB := cb.next(t, horizon)
 		end := min(untilA, untilB)
 		length := end - t
-		delta := rB - rA
-
-		if delta != 0 {
-			// gap moves by delta each round; find the first round where
-			// it hits 0 mod n.
-			steps := n - gap
-			if delta < 0 {
-				steps = gap
+		switch rB - rA {
+		case 1:
+			// B gains a node a round: a gap c reaches n after n-c
+			// rounds, so the largest gaps meet first.
+			for lo < hi && gaps[hi-1]+shift+length >= n {
+				hi--
+				meet := t + n - gaps[hi] - shift
+				out[dst[hi]] = Result{Met: true, Round: meet, CostA: ca.cost(meet), CostB: cb.cost(meet)}
 			}
-			if steps <= length {
-				meet := t + steps
-				return Result{Met: true, Round: meet, CostA: ca.cost(meet), CostB: cb.cost(meet)}, nil
+			shift += length
+		case -1:
+			// A gains a node a round: a gap c reaches 0 after c
+			// rounds, so the smallest gaps meet first.
+			for lo < hi && gaps[lo]+shift <= length {
+				meet := t + gaps[lo] + shift
+				out[dst[lo]] = Result{Met: true, Round: meet, CostA: ca.cost(meet), CostB: cb.cost(meet)}
+				lo++
 			}
+			shift -= length
 		}
-		gap = ((gap+delta*length)%n + n) % n
 		t = end
 	}
-	return Result{CostA: ca.explored, CostB: cb.explored}, nil
+	for j := lo; j < hi; j++ {
+		out[dst[j]] = Result{CostA: ca.explored, CostB: cb.explored}
+	}
 }
 
 // cursor walks one agent's timeline in rounds since the earlier wake.

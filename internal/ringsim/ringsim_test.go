@@ -1,6 +1,7 @@
 package ringsim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,14 +102,75 @@ func TestRunMatchesGeneralSimulatorProperty(t *testing.T) {
 	}
 }
 
+// TestRunValidation: Run, Meet, NewStarts and Walk refuse exactly what
+// sim.Run refuses, for the same reason and in its order — equal starts,
+// then starts outside [0, n), then the wakes — and never reduce a start
+// mod n.
 func TestRunValidation(t *testing.T) {
+	const n = 24
 	s := sim.Schedule{sim.SegmentExplore}
-	if _, err := Run(8, Agent{Schedule: s, Start: 3, Wake: 1}, Agent{Schedule: s, Start: 3, Wake: 1}); err != ErrSameStart {
-		t.Errorf("same start: err = %v", err)
+	for _, tc := range []struct {
+		startA, startB, wakeA, wakeB int
+		want                         error
+	}{
+		{3, 3, 1, 1, ErrSameStart},
+		{-1, -1, 1, 1, ErrSameStart},
+		{n, n, 2, 2, ErrSameStart},
+		{0, 31, 1, 1, ErrStartOutRange}, // 31 mod 24 = 7 would meet
+		{0, n, 1, 1, ErrStartOutRange},  // n mod n = 0 would be "same start"
+		{-17, 0, 1, 1, ErrStartOutRange},
+		{5, -1, 1, 3, ErrStartOutRange},
+		{0, n, 2, 2, ErrStartOutRange}, // range before wake
+		{0, 3, 2, 2, ErrBadWake},
+		{0, 3, 0, 1, ErrBadWake},
+		{0, 3, 1, 7, nil},
+		{n - 1, 0, 4, 1, nil},
+	} {
+		a := Agent{Schedule: s, Start: tc.startA, Wake: tc.wakeA}
+		b := Agent{Schedule: s, Start: tc.startB, Wake: tc.wakeB}
+		_, werr := sim.Run(sim.Scenario{
+			Graph:    graph.OrientedRing(n),
+			Explorer: explore.OrientedRingSweep{},
+			A:        sim.AgentSpec{Label: 1, Start: a.Start, Wake: a.Wake, Schedule: s},
+			B:        sim.AgentSpec{Label: 2, Start: b.Start, Wake: b.Wake, Schedule: s},
+		})
+		if errKind(werr) != errKind(tc.want) {
+			t.Fatalf("starts (%d,%d) wakes (%d,%d): test expects %v but sim.Run says %v", tc.startA, tc.startB, tc.wakeA, tc.wakeB, tc.want, werr)
+		}
+		if _, err := Run(n, a, b); err != tc.want {
+			t.Errorf("Run starts (%d,%d) wakes (%d,%d): err = %v, want %v", tc.startA, tc.startB, tc.wakeA, tc.wakeB, err, tc.want)
+		}
+		tl := Compile(n, s)
+		if _, err := Meet(n, Placed{Timeline: tl, Start: a.Start, Wake: a.Wake}, Placed{Timeline: tl, Start: b.Start, Wake: b.Wake}); err != tc.want {
+			t.Errorf("Meet starts (%d,%d) wakes (%d,%d): err = %v, want %v", tc.startA, tc.startB, tc.wakeA, tc.wakeB, err, tc.want)
+		}
+		// A walk checks starts once, when they are prepared, and the
+		// wakes per walk.
+		pairs := [][2]int{{1, 2}, {tc.startA, tc.startB}}
+		starts, err := NewStarts(n, pairs)
+		if err == nil {
+			err = Walk(tl, tl, tc.wakeA, tc.wakeB, starts, make([]Result, len(pairs)))
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("NewStarts+Walk starts (%d,%d) wakes (%d,%d): err = %v, want %v", tc.startA, tc.startB, tc.wakeA, tc.wakeB, err, tc.want)
+		}
 	}
-	if _, err := Run(8, Agent{Schedule: s, Start: 0, Wake: 2}, Agent{Schedule: s, Start: 3, Wake: 2}); err != ErrBadWake {
-		t.Errorf("bad wake: err = %v", err)
+}
+
+// TestWalkShortBufferPanics: a result buffer shorter than the start
+// list is a caller bug.
+func TestWalkShortBufferPanics(t *testing.T) {
+	tl := Compile(8, sim.Schedule{sim.SegmentExplore})
+	starts, err := NewStarts(8, [][2]int{{0, 1}, {0, 2}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Walk into a one-result buffer for two start pairs did not panic")
+		}
+	}()
+	_ = Walk(tl, tl, 1, 1, starts, make([]Result, 1))
 }
 
 func TestNeverMeetingLockstep(t *testing.T) {
@@ -128,15 +190,18 @@ func TestNeverMeetingLockstep(t *testing.T) {
 }
 
 // TestRingExecutorAllocatesNothing: an execution over compiled
-// timelines allocates nothing — the sweep's per-configuration cost —
-// on the E14 hot spot's shape (FastWithRelabeling(1) at L = 4096 on the
-// ring of 24: 8,193-segment schedules of a few runs each).
+// timelines allocates nothing — one Meet, and one Walk over every
+// offset into a caller-owned buffer, the sweep's cost per label pair
+// and delay — on the E14 hot spot's shape (FastWithRelabeling(1) at
+// L = 4096 on the ring of 24: 8,193-segment schedules of a few runs
+// each).
 func TestRingExecutorAllocatesNothing(t *testing.T) {
 	const n, L = 24, 4096
 	algo := core.NewFastWithRelabeling(1)
 	params := core.Params{L: L}
-	a := Placed{Timeline: Compile(n, algo.Schedule(L-1, params)), Start: 0, Wake: 1}
-	b := Placed{Timeline: Compile(n, algo.Schedule(L, params)), Start: 7, Wake: 1 + n}
+	ta, tb := Compile(n, algo.Schedule(L-1, params)), Compile(n, algo.Schedule(L, params))
+	a := Placed{Timeline: ta, Start: 0, Wake: 1}
+	b := Placed{Timeline: tb, Start: 7, Wake: 1 + n}
 	var res Result
 	allocs := testing.AllocsPerRun(100, func() {
 		res, _ = Meet(n, a, b)
@@ -146,5 +211,24 @@ func TestRingExecutorAllocatesNothing(t *testing.T) {
 	}
 	if !res.Met {
 		t.Errorf("labels %d and %d never met: %+v", L-1, L, res)
+	}
+
+	pairs := make([][2]int, 0, n-1)
+	for off := 1; off < n; off++ {
+		pairs = append(pairs, [2]int{0, off})
+	}
+	starts, err := NewStarts(n, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Result, len(pairs))
+	allocs = testing.AllocsPerRun(100, func() {
+		_ = Walk(ta, tb, 1, 1+n, starts, out)
+	})
+	if allocs != 0 {
+		t.Errorf("Walk over %d start pairs allocated %v times per walk, want 0", len(pairs), allocs)
+	}
+	if out[6] != res {
+		t.Errorf("Walk's offset-7 result %+v differs from Meet's %+v", out[6], res)
 	}
 }

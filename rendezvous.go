@@ -475,9 +475,9 @@ func RunDoubling(sc DoublingScenario) (Result, error) { return core.RunDoubling(
 // Exact ring execution (internal/ringsim): each schedule is lowered into
 // its constant-rate runs, then the execution costs O(runs) instead of
 // O(|schedule|·E), bit-for-bit equal to Run with the ring sweep. The
-// engine's ring tier lowers each label once per shard, so its sweeps
-// pay O(runs) per execution; large-L adversarial sweeps on oriented
-// rings should go through Search.
+// engine's ring tier lowers each label once per shard and walks each
+// label pair once per delay for every start pair at once; large-L
+// adversarial sweeps on oriented rings should go through Search.
 type (
 	// RingAgent is one agent in the segment-level ring model.
 	RingAgent = ringsim.Agent
@@ -487,7 +487,9 @@ type (
 
 // RunOnRing executes two schedules on the oriented ring of size n with
 // the optimal sweep as EXPLORE (E = n-1): O(|schedules|) to lower both,
-// then O(runs) to execute.
+// then O(runs) to execute. It refuses what Run refuses: the starts must
+// be distinct nodes in [0, n), and the earlier agent must wake in
+// round 1.
 func RunOnRing(n int, a, b RingAgent) (RingResult, error) { return ringsim.Run(n, a, b) }
 
 // Meeting-table execution (internal/meetoracle): the segment-level

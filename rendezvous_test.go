@@ -311,6 +311,32 @@ func TestFacadeMeetOracle(t *testing.T) {
 	}
 }
 
+// TestFacadeRunOnRingMatchesRun: RunOnRing answers exactly what Run
+// answers with the ring sweep, and refuses what Run refuses — a start
+// outside [0, n) is out of range, never reduced mod n.
+func TestFacadeRunOnRingMatchesRun(t *testing.T) {
+	const n = 24
+	params := rendezvous.Params{L: 8}
+	sa, sb := rendezvous.Fast{}.Schedule(3, params), rendezvous.Fast{}.Schedule(6, params)
+	for _, starts := range [][2]int{{0, 7}, {0, 31}, {-17, 0}, {0, n}, {5, 5}} {
+		want, werr := rendezvous.Run(rendezvous.Scenario{
+			Graph:    rendezvous.OrientedRing(n),
+			Explorer: rendezvous.RingSweepExplorer(),
+			A:        rendezvous.AgentSpec{Label: 3, Start: starts[0], Wake: 1, Schedule: sa},
+			B:        rendezvous.AgentSpec{Label: 6, Start: starts[1], Wake: 1, Schedule: sb},
+		})
+		got, gerr := rendezvous.RunOnRing(n,
+			rendezvous.RingAgent{Schedule: sa, Start: starts[0], Wake: 1},
+			rendezvous.RingAgent{Schedule: sb, Start: starts[1], Wake: 1})
+		if (gerr != nil) != (werr != nil) {
+			t.Fatalf("starts %v: RunOnRing %+v err %v, Run %+v err %v", starts, got, gerr, want, werr)
+		}
+		if gerr == nil && (got.Met != want.Met || got.Round != want.Round || got.CostA != want.CostA || got.CostB != want.CostB) {
+			t.Errorf("starts %v: RunOnRing %+v, Run %+v", starts, got, want)
+		}
+	}
+}
+
 // TestFacadePersistence exercises the store + checkpoint surface:
 // SearchCached round-trips through a store (hit on the second call,
 // canonically-equivalent spellings included), and SearchCheckpointed
