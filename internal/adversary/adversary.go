@@ -52,7 +52,8 @@
 //     shard worker.
 //
 //     TierGeneric — the O(|schedule|·E) trajectory executor of
-//     internal/sim, the reference semantics.
+//     internal/sim, the reference semantics: each shard runs sim.Sweep
+//     on the plan's slices, the loop model.Dynamic's shards run too.
 //
 //     Every tier sees only spaces sim.SearchSpace.Expand accepts, so a
 //     forced tier runs on that tier or errors. All tiers are
@@ -287,10 +288,7 @@ func (s Spec) FastPathEligible() bool {
 // member of each orbit so the enumeration order of survivors — and
 // therefore every witness — is unchanged. It returns the pairs
 // untouched when the reduction cannot fire (SymmetryOff, or a trivial
-// group under SymmetryAuto) and when no orbit collapses. The second
-// case keeps an explicit empty list empty rather than nil: the generic
-// tier hands the pairs to sim.Search, which reads nil as "every start
-// pair".
+// group under SymmetryAuto).
 func reduceStarts(g *graph.Graph, startPairs [][2]int, sym Symmetry) ([][2]int, error) {
 	if sym == SymmetryOff {
 		return startPairs, nil
@@ -303,10 +301,7 @@ func reduceStarts(g *graph.Graph, startPairs [][2]int, sym Symmetry) ([][2]int, 
 	if err != nil {
 		return nil, fmt.Errorf("adversary: symmetry reduction: %w", err)
 	}
-	if reps := orbs.Representatives(); len(reps) < len(startPairs) {
-		return reps, nil
-	}
-	return startPairs, nil
+	return orbs.Representatives(), nil
 }
 
 // compiledRows holds a search's precompiled schedules, one row per

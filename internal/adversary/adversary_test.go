@@ -235,6 +235,60 @@ func TestEqualStartPairsRejectedEverywhere(t *testing.T) {
 	}
 }
 
+// TestNilSpecRejectedEverywhere: a spec missing its graph, explorer or
+// schedule function must fail with the paper model's validation error
+// through every entry point — SearchModel on every tier and worker
+// count, NewModelPlan, ModelPlanShards, Fingerprint, and the cached and
+// checkpointed fronts with a store — and never panic.
+func TestNilSpecRejectedEverywhere(t *testing.T) {
+	spec := specFor(graph.OrientedRing(6), explore.OrientedRingSweep{}, core.Cheap{}, 4)
+	space := sim.SearchSpace{L: 4, Delays: []int{0, 1}}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"graph", func(s *Spec) { s.Graph = nil }},
+		{"explorer", func(s *Spec) { s.Explorer = nil }},
+		{"schedule", func(s *Spec) { s.ScheduleFor = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			broken := spec
+			tc.mutate(&broken)
+			want := PaperModel{Spec: broken}.validate()
+			if want == nil {
+				t.Fatal("validate accepted the spec")
+			}
+			store, err := resultstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tier := range []Tier{TierAuto, TierGeneric, TierTable, TierBatch, TierRing} {
+				m := PaperModel{Spec: broken, Space: space, Tier: tier}
+				check := func(path string, err error) {
+					t.Helper()
+					if err == nil || err.Error() != want.Error() {
+						t.Errorf("tier=%v: %s: err = %v, want %q", tier, path, err, want)
+					}
+				}
+				for _, workers := range []int{1, 4} {
+					_, err := SearchModel(m, Options{Workers: workers})
+					check(fmt.Sprintf("SearchModel workers=%d", workers), err)
+				}
+				_, err := NewModelPlan(m, 0)
+				check("NewModelPlan", err)
+				_, err = ModelPlanShards(m, 4)
+				check("ModelPlanShards", err)
+				_, err = m.Fingerprint()
+				check("Fingerprint", err)
+				_, _, err = SearchModelCached(store, m, Options{Workers: 4})
+				check("SearchModelCached", err)
+				_, err = SearchModelCheckpointed(m, Options{Workers: 4}, CheckpointConfig{Path: store.Dir(), Shards: 4})
+				check("SearchModelCheckpointed", err)
+			}
+		})
+	}
+}
+
 // TestCancellation: a cancelled context aborts the search with its
 // error on every tier, serially and on the shard pool, through the
 // plain, the checkpointed and the cached entry points.

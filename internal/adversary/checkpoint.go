@@ -139,15 +139,14 @@ func newSearchPlan(m PaperModel) (*Plan, error) {
 		}
 		return plan, nil
 	}
-	// TierGeneric, forced or chosen by TierAuto: every shard sweep gets
-	// its own clone of the trajectory cache. sim.Search expands the
-	// space again and reads a nil slice as its default, so the plan's
-	// slices must never be nil where the caller's list was empty
-	// (reduceStarts keeps that so).
+	// TierGeneric, forced or chosen by TierAuto: every shard sweeps the
+	// plan's slices through a trajectory cache of its own.
 	plan.tier = TierGeneric
-	tc := sim.NewTrajectories(spec.Graph, spec.Explorer, spec.ScheduleFor)
 	plan.sweep = func(ctx context.Context, shard [][2]int) (sim.WorstCase, error) {
-		return sim.Search(ctx, tc.Clone(), sim.SearchSpace{LabelPairs: shard, StartPairs: startPairs, Delays: delays})
+		tc := sim.NewTrajectories(spec.Graph, spec.Explorer, spec.ScheduleFor)
+		return sim.Sweep(ctx, shard, startPairs, delays, func(label, start, _ int) (sim.Trajectory, error) {
+			return tc.Get(label, start)
+		})
 	}
 	return plan, nil
 }

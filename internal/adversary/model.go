@@ -45,6 +45,13 @@ type PaperModel struct {
 	Symmetry Symmetry
 }
 
+// fingerprintVersion salts the paper model's fingerprints. It is the
+// result store's original domain, so paper searches keep the addresses
+// they have always been stored under. Bump it whenever the encoding or
+// the semantics of any hashed component changes, so stale records can
+// never be confused with current ones.
+const fingerprintVersion = "rendezvous/resultstore/v1"
+
 func (m PaperModel) tableBudget() int64 {
 	if m.TableBudget == 0 {
 		return DefaultTableBudget
@@ -60,6 +67,9 @@ func (m PaperModel) Name() string { return "paper" }
 // reduction never touches label pairs, so Units only expands the
 // space: it fails exactly when Compile would fail on the enumeration.
 func (m PaperModel) Units() (int, error) {
+	if err := m.validate(); err != nil {
+		return 0, err
+	}
 	labelPairs, _, _, err := m.Space.Expand(m.Spec.Graph.N())
 	if err != nil {
 		return 0, err
@@ -71,6 +81,9 @@ func (m PaperModel) Units() (int, error) {
 // implementation (newSearchPlan), lowered to the contract's shard
 // form.
 func (m PaperModel) Compile() (*model.Compiled, error) {
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
 	plan, err := newSearchPlan(m)
 	if err != nil {
 		return nil, err
@@ -85,12 +98,13 @@ func (m PaperModel) Compile() (*model.Compiled, error) {
 }
 
 // Fingerprint implements model.Model: the canonical content address of
-// the search in the resultstore domain — the key under which its
-// WorstCase is cached. Requests that denote the same computation
-// fingerprint identically however they are spelled (see resultstore's
-// canonicalization rules), and output-invariant knobs (Tier,
-// TableBudget) do not contribute: only the symmetry mode does, because
-// it changes Runs.
+// the search in the paper model's domain — the key under which its
+// WorstCase is cached. It writes resultstore.Encoder: the salt, the
+// shared search sections (Encoder.Search), then the symmetry mode.
+// Requests that denote the same computation fingerprint identically
+// however they are spelled (see resultstore's canonicalization rules),
+// and output-invariant knobs (Tier, TableBudget) do not contribute:
+// only the symmetry mode does, because it changes Runs.
 //
 // A forced tier the spec cannot run is an error here, although the
 // tier never enters the address: every store front (SearchModelCached,
@@ -98,16 +112,29 @@ func (m PaperModel) Compile() (*model.Compiled, error) {
 // store, so this is what keeps a hit on the same search from masking
 // the forcing error a cold run returns.
 func (m PaperModel) Fingerprint() (string, error) {
+	if err := m.validate(); err != nil {
+		return "", err
+	}
 	if err := m.checkTier(); err != nil {
 		return "", err
 	}
-	return resultstore.Fingerprint(resultstore.Key{
-		Graph:       m.Spec.Graph,
-		Explorer:    m.Spec.Explorer,
-		ScheduleFor: m.Spec.ScheduleFor,
-		Space:       m.Space,
-		Symmetry:    m.Symmetry.String(),
-	})
+	e := resultstore.NewEncoder(fingerprintVersion)
+	if err := e.Search(m.Spec.Graph, m.Spec.Explorer, m.Spec.ScheduleFor, m.Space); err != nil {
+		return "", err
+	}
+	e.Str("symmetry")
+	e.Str(m.Symmetry.String())
+	return e.Sum(), nil
+}
+
+// validate reports a spec missing its graph, explorer or schedule
+// function. Units, Compile and Fingerprint call it first, so no entry
+// point dereferences a missing part.
+func (m PaperModel) validate() error {
+	if m.Spec.Graph == nil || m.Spec.Explorer == nil || m.Spec.ScheduleFor == nil {
+		return fmt.Errorf("adversary: paper: Spec.Graph, Spec.Explorer and Spec.ScheduleFor are all required")
+	}
+	return nil
 }
 
 // checkTier reports the dispatch errors that do not depend on the

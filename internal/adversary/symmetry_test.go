@@ -6,6 +6,7 @@ import (
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
+	"rendezvous/internal/model"
 	"rendezvous/internal/sim"
 )
 
@@ -209,7 +210,8 @@ func TestSymmetryExplicitSubsetReduction(t *testing.T) {
 // TestEmptyListsSweepNothing: an explicit empty list on any axis is an
 // empty space, not a request for that axis's default, on every tier,
 // symmetry mode and worker count — including the generic tier under a
-// reduction, which hands the reduced start pairs to sim.Search.
+// reduction, which sweeps the reduced start pairs — and for the
+// dynamic model, whose shards run the same sim.Sweep.
 func TestEmptyListsSweepNothing(t *testing.T) {
 	const L = 3
 	ring := specFor(graph.OrientedRing(10), explore.OrientedRingSweep{}, core.Cheap{}, L)
@@ -240,6 +242,17 @@ func TestEmptyListsSweepNothing(t *testing.T) {
 								sc.name, spec.Graph.N(), tier, sym, workers, got, want)
 						}
 					}
+				}
+			}
+			m := model.Dynamic{Graph: spec.Graph, Explorer: spec.Explorer, ScheduleFor: spec.ScheduleFor,
+				Space: sc.space, Phases: []model.Phase{{Rounds: 1}}}
+			for _, workers := range []int{1, 4} {
+				got, err := SearchModel(m, Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s n=%d dynamic workers=%d: %v", sc.name, spec.Graph.N(), workers, err)
+				}
+				if got != want {
+					t.Errorf("%s n=%d dynamic workers=%d: got %+v, want %+v", sc.name, spec.Graph.N(), workers, got, want)
 				}
 			}
 		}

@@ -40,13 +40,13 @@ type Phase struct {
 // exploration plan assumed) — is spent waiting. The round is consumed,
 // no edge is traversed, no cost accrues. Because blocking depends only
 // on the global round number, each agent's trajectory is still a solo
-// function of (label, start, wake round), and meetings are scanned
-// with the same sim.Meet the static generic tier uses.
+// function of (label, start, wake round), and its shards sweep them
+// with sim.Sweep, the loop the static generic tier runs.
 //
-// Dynamic runs exclusively on the generic execution recipe: the fast
-// tiers' precomputed tables and segment algebra assume a fixed edge
-// set. Symmetry reduction is likewise not applied — an automorphism of
-// the base graph need not preserve the phase schedule's edges.
+// Dynamic runs exclusively on the generic tier: the fast tiers'
+// precomputed tables and segment algebra assume a fixed edge set.
+// Symmetry reduction is likewise not applied — an automorphism of the
+// base graph need not preserve the phase schedule's edges.
 type Dynamic struct {
 	// Graph is the port-labeled base graph.
 	Graph *graph.Graph
@@ -218,12 +218,9 @@ func (m Dynamic) Units() (int, error) {
 	return len(labelPairs), nil
 }
 
-// Compile implements Model: the generic execution recipe over
-// wake-dependent dynamic trajectories. Each shard owns a private
-// trajectory cache keyed by (label, start, wake), so the hot path
-// takes no locks; configurations are observed in canonical order
-// (labelPairs × startPairs × delays) exactly like the static generic
-// tier.
+// Compile implements Model: every shard runs sim.Sweep over
+// wake-dependent dynamic trajectories, through a private trajectory
+// cache keyed by (label, start, wake), so the hot path takes no locks.
 func (m Dynamic) Compile() (*Compiled, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -235,7 +232,7 @@ func (m Dynamic) Compile() (*Compiled, error) {
 	pp := m.compilePhases()
 	sweep := func(ctx context.Context, shard [][2]int) (sim.WorstCase, error) {
 		cache := make(map[[3]int]sim.Trajectory)
-		get := func(label, start, wake int) (sim.Trajectory, error) {
+		return sim.Sweep(ctx, shard, startPairs, delays, func(label, start, wake int) (sim.Trajectory, error) {
 			key := [3]int{label, start, wake}
 			if tr, ok := cache[key]; ok {
 				return tr, nil
@@ -246,27 +243,7 @@ func (m Dynamic) Compile() (*Compiled, error) {
 			}
 			cache[key] = tr
 			return tr, nil
-		}
-		wc := sim.WorstCase{AllMet: true}
-		for _, lp := range shard {
-			if err := ctx.Err(); err != nil {
-				return sim.WorstCase{}, err
-			}
-			for _, sp := range startPairs {
-				trajA, err := get(lp[0], sp[0], 1)
-				if err != nil {
-					return sim.WorstCase{}, err
-				}
-				for _, d := range delays {
-					trajB, err := get(lp[1], sp[1], 1+d)
-					if err != nil {
-						return sim.WorstCase{}, err
-					}
-					wc.Observe(lp[0], lp[1], sp[0], sp[1], d, sim.Meet(trajA, trajB, 1, 1+d, false))
-				}
-			}
-		}
-		return wc, nil
+		})
 	}
 	return &Compiled{
 		Tier:       "generic",

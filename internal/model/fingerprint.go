@@ -8,12 +8,12 @@ import (
 )
 
 // fingerprintVersion salts every fingerprint this package computes.
-// It deliberately differs from the result store's paper-model salt
-// ("rendezvous/resultstore/v1"), so the fingerprint domains of the
-// paper model and the models defined here are disjoint by
-// construction: no spelling of a dynamic search can collide with any
-// paper search in a shared store. Bump it whenever the encoding or the
-// semantics of any hashed component changes.
+// It deliberately differs from the paper model's salt
+// ("rendezvous/resultstore/v1", in internal/adversary), so the
+// fingerprint domains of the paper model and the models defined here
+// are disjoint by construction: no spelling of a dynamic search can
+// collide with any paper search in a shared store. Bump it whenever
+// the encoding or the semantics of any hashed component changes.
 const fingerprintVersion = "rendezvous/model/v1"
 
 // Fingerprint implements Model: the canonical content address of the

@@ -50,8 +50,10 @@
 // internal/adversary as PaperModel — it is the first implementation of
 // this contract and the only one with fast-tier accelerations. This
 // package additionally ships Dynamic, a dynamic-graph model whose edge
-// set changes on a declared periodic schedule, executed by the generic
-// recipe.
+// set changes on a declared periodic schedule. Both models build the
+// same way: their generic shards run sim.Sweep, the one loop over
+// (label pair, start pair, delay), and their fingerprints write
+// resultstore.Encoder under their own salts.
 package model
 
 import (

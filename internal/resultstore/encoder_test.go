@@ -7,11 +7,6 @@ import (
 	"hash"
 	"io"
 	"testing"
-
-	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
-	"rendezvous/internal/sim"
 )
 
 // refEncoder is the fingerprint encoding as specified, with no
@@ -126,42 +121,5 @@ func TestEncoderDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocations per run of Ints/Str calls, want 0", allocs)
-	}
-}
-
-// BenchmarkFingerprint times the content address of three of the
-// serving benchmark's hot-set searches: the cost a served cache hit
-// pays before it can look the result up. Each key is the cheap
-// algorithm under the default explorer with delays {0, 1, E}.
-func BenchmarkFingerprint(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		l    int
-	}{
-		{"ring24-L64", graph.OrientedRing(24), 64},
-		{"hypercube4-L32", graph.Hypercube(4), 32},
-		{"torus4x4-L32", graph.Torus(4, 4), 32},
-	} {
-		ex, err := explore.ByName("", tc.g, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		params := core.Params{L: tc.l}
-		k := Key{
-			Graph:       tc.g,
-			Explorer:    ex,
-			ScheduleFor: func(l int) sim.Schedule { return core.Cheap{}.Schedule(l, params) },
-			Space:       sim.SearchSpace{L: tc.l, Delays: []int{0, 1, ex.Duration(tc.g)}},
-			Symmetry:    "auto",
-		}
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := Fingerprint(k); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

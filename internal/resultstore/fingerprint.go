@@ -33,17 +33,12 @@
 //     the expanded space can reach, so algorithms that agree on those
 //     labels share cache entries.
 //
-// Options that are proven output-invariant (Workers, Tier,
-// TableBudget) are excluded from the key: the engine guarantees
-// bit-for-bit identical results for every value of them. The symmetry
-// mode is included, because it changes WorstCase.Runs (values and
-// witnesses are unchanged, but the record stores the full struct).
-//
-// Encoder exports this encoding, so every model's fingerprint applies
-// the same rules under its own domain salt. It buffers the encoded
-// bytes and hands them to SHA-256 a few KiB at a time; the digest sees
-// the byte sequence unbuffered writes would give, so the buffer never
-// shows in a fingerprint.
+// Encoder is this encoding. Every model's Fingerprint writes it
+// itself, under its own domain salt: the paper model's in
+// internal/adversary, the others' in internal/model. It buffers the
+// encoded bytes and hands them to SHA-256 a few KiB at a time; the
+// digest sees the byte sequence unbuffered writes would give, so the
+// buffer never shows in a fingerprint.
 package resultstore
 
 import (
@@ -58,32 +53,6 @@ import (
 	"rendezvous/internal/graph"
 	"rendezvous/internal/sim"
 )
-
-// fingerprintVersion salts the hash; bump it whenever the encoding or
-// the semantics of any hashed component changes, so stale records can
-// never be confused with current ones.
-const fingerprintVersion = "rendezvous/resultstore/v1"
-
-// Key identifies one adversary-search computation for caching: the
-// model under attack, the configuration space, and the one
-// engine-relevant option (the symmetry mode, which changes Runs).
-type Key struct {
-	// Graph is the port-labeled graph; its full structure is hashed.
-	Graph *graph.Graph
-	// Explorer is the EXPLORE procedure; its behaviour (duration and
-	// per-start plans) is hashed, not its name.
-	Explorer explore.Explorer
-	// ScheduleFor maps labels to schedules; the schedules of exactly
-	// the labels reachable from the expanded space are hashed.
-	ScheduleFor func(label int) sim.Schedule
-	// Space is the configuration space as the caller spelled it; it is
-	// expanded before hashing so equivalent spellings hash identically.
-	Space sim.SearchSpace
-	// Symmetry is the engine's symmetry mode in textual form ("auto",
-	// "off", "forced"). It is part of the key because the reduction
-	// changes WorstCase.Runs.
-	Symmetry string
-}
 
 // encoderChunk is the size of an Encoder's buffer: encoded bytes reach
 // the digest in writes of at most this many.
@@ -230,25 +199,4 @@ func (e *Encoder) Search(g *graph.Graph, ex explore.Explorer, scheduleFor func(l
 	e.Ints(len(delays))
 	e.Ints(delays...)
 	return nil
-}
-
-// Fingerprint returns the canonical content address of the key as a
-// 64-character hex string. It fails on an invalid search space,
-// wrapping the error Expand gives the search itself, and on an
-// explorer that rejects the graph. That second case is the one where
-// Fingerprint and the search part ways: a search whose schedules never
-// explore still succeeds on the generic tier, and the store fronts run
-// it unpersisted.
-func Fingerprint(k Key) (string, error) {
-	if k.Graph == nil || k.Explorer == nil || k.ScheduleFor == nil {
-		return "", fmt.Errorf("resultstore: Fingerprint: Graph, Explorer and ScheduleFor are all required")
-	}
-	e := NewEncoder(fingerprintVersion)
-	if err := e.Search(k.Graph, k.Explorer, k.ScheduleFor, k.Space); err != nil {
-		return "", fmt.Errorf("resultstore: Fingerprint: %w", err)
-	}
-	// Engine options that change the stored record.
-	e.Str("symmetry")
-	e.Str(k.Symmetry)
-	return e.Sum(), nil
 }

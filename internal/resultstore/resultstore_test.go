@@ -16,25 +16,18 @@ import (
 	"rendezvous/internal/sim"
 )
 
-func testKey(t *testing.T, space sim.SearchSpace) Key {
+// testFingerprint returns a content address for the store tests: a
+// search over the oriented 6-ring written with NewEncoder. Distinct
+// spaces give distinct addresses.
+func testFingerprint(t *testing.T, space sim.SearchSpace) string {
 	t.Helper()
 	params := core.Params{L: 4}
-	return Key{
-		Graph:       graph.OrientedRing(6),
-		Explorer:    explore.OrientedRingSweep{},
-		ScheduleFor: func(l int) sim.Schedule { return core.Cheap{}.Schedule(l, params) },
-		Space:       space,
-		Symmetry:    "auto",
-	}
-}
-
-func mustFingerprint(t *testing.T, k Key) string {
-	t.Helper()
-	fp, err := Fingerprint(k)
-	if err != nil {
+	e := NewEncoder("resultstore-test")
+	sched := func(l int) sim.Schedule { return core.Cheap{}.Schedule(l, params) }
+	if err := e.Search(graph.OrientedRing(6), explore.OrientedRingSweep{}, sched, space); err != nil {
 		t.Fatal(err)
 	}
-	return fp
+	return e.Sum()
 }
 
 func sampleResult() sim.WorstCase {
@@ -51,7 +44,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := mustFingerprint(t, testKey(t, sim.SearchSpace{L: 4}))
+	fp := testFingerprint(t, sim.SearchSpace{L: 4})
 	if _, ok := store.Get(fp); ok {
 		t.Fatal("Get on empty store: want miss")
 	}
@@ -75,7 +68,7 @@ func TestDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := mustFingerprint(t, testKey(t, sim.SearchSpace{L: 4}))
+	fp := testFingerprint(t, sim.SearchSpace{L: 4})
 	if err := store.Put(fp, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +156,7 @@ func TestCorruptionReadsAsMissAndRewrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp := mustFingerprint(t, testKey(t, sim.SearchSpace{L: 4}))
+			fp := testFingerprint(t, sim.SearchSpace{L: 4})
 			want := sampleResult()
 			if err := store.Put(fp, want); err != nil {
 				t.Fatal(err)
@@ -193,7 +186,7 @@ func TestGetRejectsForeignVersionAndFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := mustFingerprint(t, testKey(t, sim.SearchSpace{L: 4}))
+	fp := testFingerprint(t, sim.SearchSpace{L: 4})
 	if err := store.Put(fp, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +239,7 @@ func TestIndexAndGC(t *testing.T) {
 	keys := []sim.SearchSpace{{L: 2}, {L: 3}, {L: 4}}
 	var fps []string
 	for _, space := range keys {
-		fp := mustFingerprint(t, testKey(t, space))
+		fp := testFingerprint(t, space)
 		if err := store.Put(fp, sampleResult()); err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +304,7 @@ func TestGCRemovesStrayTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := mustFingerprint(t, testKey(t, sim.SearchSpace{L: 4}))
+	fp := testFingerprint(t, sim.SearchSpace{L: 4})
 	if err := store.Put(fp, sampleResult()); err != nil {
 		t.Fatal(err)
 	}

@@ -90,8 +90,11 @@ func (wc *WorstCase) ObserveOutcome(labelA, labelB, startA, startB, delay, round
 	}
 }
 
-// SearchSpace describes the adversary's choices. Empty slices select the
-// exhaustive default noted per field.
+// SearchSpace describes the adversary's choices. A nil slice selects
+// the exhaustive default noted per field; an explicit empty slice is an
+// empty axis, so the space holds no configuration and a search over it
+// runs nothing. (Scenario documents differ: compiling one turns a
+// written [] into the default.)
 type SearchSpace struct {
 	// LabelPairs lists ordered (labelA, labelB) pairs; both agents run
 	// the deterministic algorithm with their own label. The model
@@ -181,8 +184,8 @@ func (space SearchSpace) Expand(n int) (labelPairs, startPairs [][2]int, delays 
 
 // Trajectories precompiles and caches solo trajectories per (label,
 // start) so adversary searches do not recompile schedules. A single
-// cache is not safe for concurrent use; the parallel search gives each
-// worker its own Clone.
+// cache is not safe for concurrent use; the engine's generic tier
+// builds one per shard.
 type Trajectories struct {
 	g           *graph.Graph
 	ex          explore.Explorer
@@ -191,9 +194,9 @@ type Trajectories struct {
 }
 
 // NewTrajectories returns an empty cache over the given graph, explorer
-// and per-label schedule function. scheduleFor is shared by every Clone
-// of the cache, so under the adversary engine's parallel search it is
-// called concurrently from every worker: it must be a
+// and per-label schedule function. The adversary engine's parallel
+// search builds one cache per shard over the same scheduleFor, so it
+// is called concurrently from every worker: it must be a
 // deterministic function safe for concurrent use, not a memoizing
 // closure over shared state.
 func NewTrajectories(g *graph.Graph, ex explore.Explorer, scheduleFor func(label int) Schedule) *Trajectories {
@@ -204,23 +207,6 @@ func NewTrajectories(g *graph.Graph, ex explore.Explorer, scheduleFor func(label
 		cache:       make(map[[2]int]Trajectory),
 	}
 }
-
-// Clone returns a fresh, empty cache over the same graph, explorer and
-// schedule function. Each worker of a parallel search owns a clone, so
-// no locking is needed on the hot path; trajectories are deterministic
-// functions of (label, start), so recompilation cannot diverge.
-func (tc *Trajectories) Clone() *Trajectories {
-	return NewTrajectories(tc.g, tc.ex, tc.scheduleFor)
-}
-
-// Graph returns the graph the cache compiles against.
-func (tc *Trajectories) Graph() *graph.Graph { return tc.g }
-
-// Explorer returns the EXPLORE procedure the cache compiles with.
-func (tc *Trajectories) Explorer() explore.Explorer { return tc.ex }
-
-// ScheduleFor returns the schedule of the given label.
-func (tc *Trajectories) ScheduleFor(label int) Schedule { return tc.scheduleFor(label) }
 
 // Get returns the solo trajectory of the given label from the given
 // start, compiling it on first use.
@@ -282,34 +268,48 @@ func Meet(trajA, trajB Trajectory, wakeA, wakeB int, parachuted bool) Result {
 }
 
 // Search runs the adversary serially over the given space and returns
-// the worst time and cost found. Every execution must achieve
-// rendezvous for AllMet to hold; executions that never meet are still
-// counted in Runs so the caller can detect the violation, but
-// contribute to neither witness (both measures are defined until the
-// meeting). The context is checked once per label pair, so cancellation
-// latency is bounded by one (startPairs × delays) sweep; on
-// cancellation Search returns ctx.Err(). The adversary engine runs one
-// Search per shard, each on its own Clone of a shared cache.
+// the worst time and cost found: Expand, then Sweep through the cache.
+// Every execution must achieve rendezvous for AllMet to hold;
+// executions that never meet are still counted in Runs so the caller
+// can detect the violation, but contribute to neither witness (both
+// measures are defined until the meeting).
 func Search(ctx context.Context, tc *Trajectories, space SearchSpace) (WorstCase, error) {
 	labelPairs, startPairs, delays, err := space.Expand(tc.g.N())
 	if err != nil {
 		return WorstCase{}, err
 	}
+	return Sweep(ctx, labelPairs, startPairs, delays, func(label, start, _ int) (Trajectory, error) {
+		return tc.Get(label, start)
+	})
+}
+
+// Sweep is the one loop over a search's configurations, for every
+// generic executor: Search, the paper model's generic tier and the
+// dynamic model. It visits them in canonical order (labelPairs ×
+// startPairs × delays), gets agent A's trajectory for wake round 1
+// and agent B's for wake round 1+d from traj, scans the two with Meet
+// and folds the outcome with Observe. It sweeps its slices as given,
+// so a nil or empty slice on any axis sweeps nothing; Expand is what
+// applies the defaults. An error from traj ends the sweep with that
+// error. The context is checked once per label pair, so cancellation
+// latency is bounded by one (startPairs × delays) sweep; on
+// cancellation Sweep returns ctx.Err().
+func Sweep(ctx context.Context, labelPairs, startPairs [][2]int, delays []int, traj func(label, start, wake int) (Trajectory, error)) (WorstCase, error) {
 	wc := WorstCase{AllMet: true}
 	for _, lp := range labelPairs {
 		if err := ctx.Err(); err != nil {
 			return WorstCase{}, err
 		}
 		for _, sp := range startPairs {
-			trajA, err := tc.Get(lp[0], sp[0])
-			if err != nil {
-				return WorstCase{}, err
-			}
-			trajB, err := tc.Get(lp[1], sp[1])
+			trajA, err := traj(lp[0], sp[0], 1)
 			if err != nil {
 				return WorstCase{}, err
 			}
 			for _, d := range delays {
+				trajB, err := traj(lp[1], sp[1], 1+d)
+				if err != nil {
+					return WorstCase{}, err
+				}
 				wc.Observe(lp[0], lp[1], sp[0], sp[1], d, Meet(trajA, trajB, 1, 1+d, false))
 			}
 		}

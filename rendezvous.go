@@ -145,11 +145,13 @@ func Meet(a, b Trajectory, wakeA, wakeB int, parachuted bool) Result {
 // delays), executes every configuration, and reports the worst
 // rendezvous time and cost with their witnessing configurations.
 type (
-	// SearchSpace selects the adversary's choices; zero fields default
-	// to exhaustive enumeration (see sim.SearchSpace). Explicit choices
-	// must be ones the model defines — distinct labels >= 1, distinct
-	// start nodes in [0, n), delays >= 0; every search rejects the
-	// others with SearchSpace.Expand's error.
+	// SearchSpace selects the adversary's choices; nil fields default
+	// to exhaustive enumeration (see sim.SearchSpace), while an
+	// explicit empty list is an empty space and a search over it runs
+	// nothing. (A scenario document's [] compiles to the default.)
+	// Explicit choices must be ones the model defines — distinct
+	// labels >= 1, distinct start nodes in [0, n), delays >= 0; every
+	// search rejects the others with SearchSpace.Expand's error.
 	SearchSpace = sim.SearchSpace
 	// Witness is the configuration realising an extreme value.
 	Witness = sim.Witness
